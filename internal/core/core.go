@@ -326,6 +326,14 @@ type Options struct {
 	// every bit-for-bit guarantee.
 	Precision Precision
 
+	// WeightMemo, when non-nil, carries per-block biased weights from a
+	// sharded draw's normalization phase (NormPartials stores them) to its
+	// coin phase (DrawBlocks takes them), so a worker serving both phases
+	// evaluates each density once. A miss recomputes the identical
+	// weights, so the memo never changes a sample. Draw and ExtendDraw
+	// ignore it: they keep their own weight cache across their two passes.
+	WeightMemo WeightMemo
+
 	// Obs, when non-nil, records the run: span timings for the
 	// normalization and coin-flip passes, the counter catalogue (points
 	// scanned, data passes, coin flips, saturated probabilities, sampled
@@ -463,19 +471,16 @@ func Draw(ds dataset.Dataset, est DensityEstimator, opts Options, rng *stats.RNG
 			}
 		}
 	} else {
-		// For memory-resident datasets (anything Sliceable whose snapshot
-		// covers the scan, including generation-pinned views and mapped
-		// segment files) the biased weights f'(x)^a computed by the
-		// normalization pass are cached (8 bytes per point — negligible
-		// next to the resident points) and reused by the coin-flip pass,
-		// halving the dominant cost of the exact algorithm and hoisting the
-		// power out of the coin loop. The weight is a pure function of the
-		// point, so cached and recomputed values are bit-identical and the
-		// sample is unchanged; streaming datasets keep the constant-memory
-		// recomputation.
-		if sl, ok := ds.(dataset.Sliceable); ok && len(sl.Points()) >= n {
-			weightCache = make([]float64, n)
-		}
+		// The biased weights f'(x)^a computed by the normalization pass are
+		// cached (8 bytes per point, 1/d of the rows' own footprint) and
+		// the coin-flip pass reads them instead of re-evaluating densities,
+		// so every exact draw evaluates each density exactly once — over
+		// in-memory rows, mapped segments, DBS1 files and wrapped datasets
+		// alike. The weight is a pure function of the point, so cached and
+		// recomputed values are bit-identical and the sample is unchanged.
+		// Only the OnePass variant, which has no normalization pass,
+		// evaluates densities inside the coin pass.
+		weightCache = make([]float64, n)
 		nspan := rec.StartSpan("draw/normalize")
 		var err error
 		norm, err = exactNorm(opts.Ctx, ds, est, opts, floor, weightCache, rec, opts.Progress)
@@ -505,17 +510,24 @@ func Draw(ds dataset.Dataset, est DensityEstimator, opts Options, rng *stats.RNG
 	sspan := rec.StartSpan("draw/sample")
 	cCoins := rec.Counter(obs.CtrCoinFlips)
 	cSat := rec.Counter(obs.CtrSaturated)
+	// With cached weights the coin pass only copies selected rows, so it
+	// scans the row view and skips the columnar transpose.
+	coinLayout := opts.Layout
+	if weightCache != nil {
+		coinLayout = LayoutRow
+	}
 	err := scanBlocksLayout(ds, dataset.ScanConfig{
 		BlockSize:   blockSize,
 		Parallelism: opts.Parallelism,
 		Ctx:         opts.Ctx,
 		Rec:         rec,
 		Progress:    opts.Progress,
-	}, opts.Layout, func(block, start int, pts []geom.Point, cols [][]float64) error {
-		// The fused pass: evaluate (or fetch) the biased weights, flip the
-		// block's coins recording (index, prob) pairs in pooled scratch,
-		// then carve exactly-sized storage for the selections from the
-		// shared arena — no per-point Clone, no per-block allocation.
+	}, coinLayout, func(block, start int, pts []geom.Point, cols [][]float64) error {
+		// The fused pass: fetch the cached biased weights (OnePass
+		// evaluates them here), flip the block's coins recording (index,
+		// prob) pairs in pooled scratch, then carve exactly-sized storage
+		// for the selections from the shared arena — no per-point Clone,
+		// no per-block allocation.
 		sc := getCoinScratch(len(pts))
 		defer coinScratchPool.Put(sc)
 		var weights []float64
@@ -563,10 +575,10 @@ func Draw(ds dataset.Dataset, est DensityEstimator, opts Options, rng *stats.RNG
 
 // flipCoins flips the inclusion coin for each biased weight against the
 // normalizer, recording the (index, prob) pairs of the selections into sc.
-// It is the single coin loop shared by the local draw and the sharded
-// per-block draw (DrawBlocks): both paths must consume brng identically —
-// including Bernoulli's property of consuming no state at p ≤ 0 or p ≥ 1 —
-// or the cross-mode bit-for-bit guarantee breaks.
+// It is the single coin loop shared by the local draws (Draw, ExtendDraw)
+// and the sharded per-block draw (DrawBlocks): the paths must consume brng
+// identically — including Bernoulli's property of consuming no state at
+// p ≤ 0 or p ≥ 1 — or the cross-mode bit-for-bit guarantee breaks.
 func flipCoins(weights []float64, b, norm float64, brng *stats.RNG, sc *coinScratch) (count, sat int) {
 	for i := range weights {
 		prob := b * weights[i] / norm

@@ -144,11 +144,9 @@ func ExtendDraw(ds dataset.Dataset, est DensityEstimator, opts ExtendOptions, rn
 	}
 
 	// Pass 1 over the delta: D = Σ_{delta} f'(x)^a, with the biased
-	// weights cached for the coin pass when the delta is memory-resident.
-	var weightCache []float64
-	if sl, ok := w.(dataset.Sliceable); ok && len(sl.Points()) >= m {
-		weightCache = make([]float64, m)
-	}
+	// weights cached for the coin pass (as in Draw, each delta density is
+	// evaluated once).
+	weightCache := make([]float64, m)
 	nspan := rec.StartSpan("extend_draw/normalize")
 	d, err := exactNorm(opts.Ctx, w, est, opts.Options, floor, weightCache, rec, opts.Progress)
 	nspan.AddPoints(int64(m))
@@ -216,41 +214,19 @@ func ExtendDraw(ds dataset.Dataset, est DensityEstimator, opts ExtendOptions, rn
 	b := float64(opts.TargetSize)
 	cSat := rec.Counter(obs.CtrSaturated)
 	sspan := rec.StartSpan("extend_draw/sample")
-	err = scanBlocksLayout(w, dataset.ScanConfig{
+	err = dataset.ScanBlocksCfg(w, dataset.ScanConfig{
 		BlockSize:   blockSize,
 		Parallelism: opts.Parallelism,
 		Ctx:         opts.Ctx,
 		Rec:         rec,
 		Progress:    opts.Progress,
-	}, opts.Layout, func(block, start int, pts []geom.Point, cols [][]float64) error {
-		// Same fused pass as Draw: cached (or freshly fused) biased
-		// weights, coin flips into pooled scratch, arena-carved storage.
+	}, func(block, start int, pts []geom.Point) error {
+		// Same fused pass as Draw: cached biased weights, coin flips into
+		// pooled scratch, arena-carved storage.
 		sc := getCoinScratch(len(pts))
 		defer coinScratchPool.Put(sc)
-		var weights []float64
-		if weightCache != nil {
-			weights = weightCache[start : start+len(pts)]
-		} else {
-			weights = sc.dens
-			evalDensitiesLayout(est, pts, cols, opts.Precision, weights)
-			for i, f := range weights {
-				weights[i] = biasedWeight(f, opts.Alpha, floor)
-			}
-		}
-		brng := &streams[1+block]
-		count, sat := 0, 0
-		for i := range pts {
-			prob := b * weights[i] / kNew
-			if prob >= 1 {
-				prob = 1
-				sat++
-			}
-			if brng.Bernoulli(prob) {
-				sc.idx[count] = int32(i)
-				sc.probs[count] = prob
-				count++
-			}
-		}
+		weights := weightCache[start : start+len(pts)]
+		count, sat := flipCoins(weights, b, kNew, &streams[1+block], sc)
 		// Block starts are window-relative; the global dataset index of a
 		// delta selection is DeltaStart + start + in-block offset.
 		wps, idxs := fillBlockSample(arena, pts, sc, count, opts.DeltaStart+start)

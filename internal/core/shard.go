@@ -12,13 +12,16 @@
 // Both entry points deliberately share code with Draw (evalDensities,
 // biasedWeight, flipCoins, fillBlockSample) rather than reimplementing the
 // loops: parity is enforced structurally, not by keeping two copies in
-// sync.
+// sync. With Options.WeightMemo set, NormPartials hands each block's
+// weights to DrawBlocks, so a worker serving both phases of a run
+// evaluates each density once, as Draw does.
 package core
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
@@ -37,6 +40,35 @@ type BlockSample struct {
 	Points    []dataset.WeightedPoint
 	Saturated int
 }
+
+// WeightMemo holds the biased weights f'(x)^a of whole scan blocks between
+// the two phases of a sharded draw. An implementation is bound to one
+// run's identity (dataset content, estimator, alpha, block size), so a
+// block index alone addresses an entry. It must be safe for concurrent
+// use, and it may drop entries at any time: Take then reports a miss and
+// DrawBlocks recomputes the block.
+type WeightMemo interface {
+	// Put stores block's weights; the memo owns the slice afterwards.
+	Put(block int, weights []float64)
+	// Take removes and returns block's weights, or nil when it holds none.
+	Take(block int) []float64
+}
+
+// memoWeightPool recycles the per-block weight slices that travel through
+// a WeightMemo: NormPartials takes one per block and DrawBlocks returns it
+// once the block's coins are flipped. Allocated afresh, 8 bytes per point
+// per request became garbage that lifted a sharded server's resident
+// peak. Slices a memo drops go to the collector.
+var memoWeightPool sync.Pool
+
+func getMemoWeights(n int) []float64 {
+	if p, ok := memoWeightPool.Get().(*[]float64); ok && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return make([]float64, n)
+}
+
+func putMemoWeights(w []float64) { memoWeightPool.Put(&w) }
 
 // DrawStreamBase consumes one draw of rng — exactly the draw
 // stats.RNG.SplitsValues makes inside Draw — and returns it as the base
@@ -90,6 +122,15 @@ func blockPoints(ds dataset.Dataset, start, end int) ([]geom.Point, error) {
 	return buf, nil
 }
 
+// blockWeights fills out with the biased weights max(f(x), floor)^a of
+// one block's points.
+func blockWeights(est DensityEstimator, pts []geom.Point, alpha, floor float64, out []float64) {
+	evalDensities(est, pts, out)
+	for i, f := range out {
+		out[i] = biasedWeight(f, alpha, floor)
+	}
+}
+
 // checkBlocks validates the assigned global block indices against the
 // dataset's block count.
 func checkBlocks(blocks []int, numBlocks int) error {
@@ -140,14 +181,23 @@ func NormPartials(ds dataset.Dataset, est DensityEstimator, opts Options, blocks
 		if err != nil {
 			return err
 		}
-		sc := getCoinScratch(len(pts))
-		defer coinScratchPool.Put(sc)
-		evalDensities(est, pts, sc.dens)
+		var weights []float64
+		if opts.WeightMemo != nil {
+			weights = getMemoWeights(len(pts))
+		} else {
+			sc := getCoinScratch(len(pts))
+			defer coinScratchPool.Put(sc)
+			weights = sc.dens
+		}
+		blockWeights(est, pts, opts.Alpha, floor, weights)
 		var k float64
-		for _, f := range sc.dens {
-			k += biasedWeight(f, opts.Alpha, floor)
+		for _, w := range weights {
+			k += w
 		}
 		out[j] = k
+		if opts.WeightMemo != nil {
+			opts.WeightMemo.Put(blocks[j], weights)
+		}
 		span.AddPoints(int64(len(pts)))
 		return nil
 	})
@@ -206,12 +256,18 @@ func DrawBlocks(ds dataset.Dataset, est DensityEstimator, opts Options, norm flo
 		}
 		sc := getCoinScratch(len(pts))
 		defer coinScratchPool.Put(sc)
-		evalDensities(est, pts, sc.dens)
-		for i, f := range sc.dens {
-			sc.dens[i] = biasedWeight(f, opts.Alpha, floor)
+		var weights []float64
+		if opts.WeightMemo != nil {
+			weights = opts.WeightMemo.Take(blocks[j])
+		}
+		if len(weights) == len(pts) {
+			defer putMemoWeights(weights)
+		} else {
+			weights = sc.dens
+			blockWeights(est, pts, opts.Alpha, floor, weights)
 		}
 		brng := stats.StreamAt(base, blocks[j])
-		count, sat := flipCoins(sc.dens, b, norm, &brng, sc)
+		count, sat := flipCoins(weights, b, norm, &brng, sc)
 		// Indices are dropped here: they never cross the shard wire, and
 		// the coordinator's merged sample carries Indices == nil.
 		wps, _ := fillBlockSample(arena, pts, sc, count, start)

@@ -82,7 +82,7 @@ func ReadBinary(r io.Reader) (*InMemory, error) {
 	}
 	dims := int(binary.LittleEndian.Uint32(hdr[0:4]))
 	count := binary.LittleEndian.Uint64(hdr[4:12])
-	if dims <= 0 || dims > 1<<16 {
+	if dims <= 0 || dims > maxDims {
 		return nil, fmt.Errorf("dataset: implausible dims %d", dims)
 	}
 	if count == 0 {
@@ -124,8 +124,14 @@ type FileBacked struct {
 	passes atomic.Int64
 }
 
-// OpenFile validates the header of a binary dataset file and returns a
-// FileBacked view over it.
+// maxDims bounds the dimensionality a binary header may declare; it
+// rejects corrupt headers before they size any buffer.
+const maxDims = 1 << 16
+
+// OpenFile validates a binary dataset file and returns a FileBacked view
+// over it. Beyond the header, the file's size must be exactly the header
+// plus count·dims float64s: a truncated or padded file is rejected here
+// rather than registering fine and failing every later pass.
 func OpenFile(path string) (*FileBacked, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -139,12 +145,27 @@ func OpenFile(path string) (*FileBacked, error) {
 	if string(hdr[:4]) != binaryMagic {
 		return nil, fmt.Errorf("dataset: %s: bad magic %q", path, hdr[:4])
 	}
-	dims := int(binary.LittleEndian.Uint32(hdr[4:8]))
-	count := int(binary.LittleEndian.Uint64(hdr[8:16]))
-	if dims <= 0 || count <= 0 {
+	dims := uint64(binary.LittleEndian.Uint32(hdr[4:8]))
+	count := binary.LittleEndian.Uint64(hdr[8:16])
+	if dims == 0 || count == 0 {
 		return nil, fmt.Errorf("dataset: %s: empty or malformed", path)
 	}
-	return &FileBacked{path: path, dims: dims, count: count}, nil
+	if dims > maxDims {
+		return nil, fmt.Errorf("dataset: %s: implausible dims %d", path, dims)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	rowBytes := 8 * dims
+	if count > (math.MaxInt64-16)/rowBytes {
+		return nil, fmt.Errorf("dataset: %s: implausible count %d", path, count)
+	}
+	if want := int64(16 + count*rowBytes); st.Size() != want {
+		return nil, fmt.Errorf("dataset: %s: file is %d bytes, header promises %d (%d points of %d dims)",
+			path, st.Size(), want, count, dims)
+	}
+	return &FileBacked{path: path, dims: int(dims), count: int(count)}, nil
 }
 
 // Scan implements Dataset by streaming the file once.

@@ -66,19 +66,60 @@ func TestReadBinaryImplausibleDims(t *testing.T) {
 	}
 }
 
-// A header that promises more rows than the file holds must fail the pass,
-// not silently deliver a short dataset — on the streaming scan and on the
-// concurrent range scan alike.
+// A file whose size disagrees with its header — rows cut short, trailing
+// bytes, or a count whose byte size overflows — is rejected at open, and so
+// is a dimensionality beyond the bound ReadBinary enforces.
+func TestOpenFileSizeMismatch(t *testing.T) {
+	mem := MustInMemory([]geom.Point{{1, 2}, {3, 4}, {5, 6}})
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, mem); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	if _, err := OpenFile(writeFile(t, full)); err != nil {
+		t.Fatalf("well-formed file rejected: %v", err)
+	}
+	header := func(dims uint32, count uint64) []byte {
+		hdr := make([]byte, 16)
+		copy(hdr, binaryMagic)
+		binary.LittleEndian.PutUint32(hdr[4:8], dims)
+		binary.LittleEndian.PutUint64(hdr[8:16], count)
+		return hdr
+	}
+	for _, tc := range []struct {
+		name string
+		b    []byte
+	}{
+		{"truncated row", full[:len(full)-8]},
+		{"missing rows", full[:16]},
+		{"padded", append(append([]byte(nil), full...), 0)},
+		{"extra row", append(append([]byte(nil), full...), make([]byte, 16)...)},
+		{"count overflows size", header(2, 1<<62)},
+		{"count overflows int", header(1, math.MaxUint64)},
+		{"implausible dims", append(header(1<<20, 1), make([]byte, 8<<20)...)},
+	} {
+		if _, err := OpenFile(writeFile(t, tc.b)); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+}
+
+// A file cut short after it was opened must fail the pass, not silently
+// deliver a short dataset — on the streaming scan and on the concurrent
+// range scan alike.
 func TestFileBackedTruncatedRows(t *testing.T) {
 	mem := MustInMemory([]geom.Point{{1, 2}, {3, 4}, {5, 6}})
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, mem); err != nil {
 		t.Fatal(err)
 	}
-	path := writeFile(t, buf.Bytes()[:buf.Len()-8])
+	path := writeFile(t, buf.Bytes())
 	fb, err := OpenFile(path)
 	if err != nil {
-		t.Fatalf("header itself is intact, open should succeed: %v", err)
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, int64(buf.Len()-8)); err != nil {
+		t.Fatal(err)
 	}
 	if err := fb.Scan(func(geom.Point) error { return nil }); err == nil {
 		t.Error("Scan completed over truncated rows")

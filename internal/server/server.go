@@ -353,7 +353,7 @@ func New(cfg Config) *Server {
 			s.disk = d
 		}
 	}
-	s.shardEx = &shardExecutor{s: s}
+	s.shardEx = &shardExecutor{s: s, memo: newWeightMemo(s.rec)}
 	if shards := s.buildShards(); len(shards) > 0 {
 		s.coord = shard.NewCoordinator(shard.Config{
 			Shards:   shards,

@@ -37,9 +37,12 @@ import (
 
 // shardExecutor implements shard.Executor over the server's registry and
 // artifact cache — the compute surface behind both the in-process worker
-// mode and the /internal/shard HTTP endpoints.
+// mode and the /internal/shard HTTP endpoints. memo carries each block's
+// biased weights from Partials to Draw, so a worker that serves both
+// phases of a run evaluates each density once.
 type shardExecutor struct {
-	s *Server
+	s    *Server
+	memo *weightMemo
 }
 
 // resolve maps request params onto this server's local state: a
@@ -87,6 +90,7 @@ func (e *shardExecutor) resolve(ctx context.Context, rec *obs.Recorder, p shard.
 		Parallelism: s.cfg.Parallelism,
 		BlockSize:   p.BlockSize,
 		Precision:   s.cfg.Precision,
+		WeightMemo:  e.memo.bind(p),
 		Obs:         rec,
 		Ctx:         ctx,
 	}

@@ -13,6 +13,10 @@ test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test ./...
+# The benchmark is its own module (perfbench/, with repro replaced by this
+# checkout), so the root `go test ./...` skips it: vet and test it here so
+# a library change that breaks the benchmark's build fails the gate.
+(cd perfbench && go vet ./... && go test ./...)
 go test -race ./internal/parallel/... ./internal/core/... ./internal/kde/... ./internal/obs/... ./internal/faults/... ./internal/server/... ./internal/dataset/... ./internal/trace/... ./internal/shard/... ./internal/loadgen/... ./internal/stream/...
 # Chaos smoke: the seeded fault-injection suite in short mode (12 seeds) —
 # goroutine leaks, admission slot leaks, cache accounting drift, and any
