@@ -233,8 +233,13 @@ func WriteCSV(w io.Writer, ds Dataset) error {
 
 // ReadCSV parses comma-separated rows into an in-memory dataset. Blank
 // lines and lines starting with '#' are skipped.
+//
+// A read error wins over a parse error: on a failed read the scanner still
+// hands over the cut-off last line, and a truncated number there must not
+// mask why the input stopped (a capped request body, for one).
 func ReadCSV(r io.Reader) (*InMemory, error) {
-	sc := bufio.NewScanner(r)
+	er := &readErr{r: r}
+	sc := bufio.NewScanner(er)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
 	var pts []geom.Point
 	line := 0
@@ -249,6 +254,9 @@ func ReadCSV(r io.Reader) (*InMemory, error) {
 		for i, f := range fields {
 			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 			if err != nil {
+				if er.err != nil {
+					return nil, er.err
+				}
 				return nil, fmt.Errorf("dataset: csv line %d field %d: %w", line, i+1, err)
 			}
 			p[i] = v
@@ -259,4 +267,18 @@ func ReadCSV(r io.Reader) (*InMemory, error) {
 		return nil, err
 	}
 	return NewInMemory(pts)
+}
+
+// readErr remembers the first read error other than io.EOF.
+type readErr struct {
+	r   io.Reader
+	err error
+}
+
+func (e *readErr) Read(p []byte) (int, error) {
+	n, err := e.r.Read(p)
+	if err != nil && err != io.EOF && e.err == nil {
+		e.err = err
+	}
+	return n, err
 }

@@ -2,10 +2,13 @@ package dataset
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/geom"
 )
@@ -143,5 +146,16 @@ func TestReadCSVSkipsCommentsAndBlanks(t *testing.T) {
 func TestReadCSVBadField(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader("1,abc\n")); err == nil {
 		t.Error("bad field accepted")
+	}
+}
+
+// TestReadCSVReadErrorWinsOverTruncatedField: when the reader fails, the
+// scanner still hands over the cut-off last line; its truncated field
+// ("3.5e") must not mask the read error.
+func TestReadCSVReadErrorWinsOverTruncatedField(t *testing.T) {
+	boom := errors.New("read cap reached")
+	r := io.MultiReader(strings.NewReader("1,2\n3.5e"), iotest.ErrReader(boom))
+	if _, err := ReadCSV(r); !errors.Is(err, boom) {
+		t.Errorf("err = %v, want the read error", err)
 	}
 }

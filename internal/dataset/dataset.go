@@ -202,6 +202,10 @@ func (m *InMemory) GenFingerprint(g uint64, parallelism int) (uint64, error) {
 	return m.fp.at(m, g, parallelism)
 }
 
+// MemoFingerprint implements Appendable: generation g's fingerprint if a
+// GenFingerprint call already computed it.
+func (m *InMemory) MemoFingerprint(g uint64) (uint64, bool) { return m.fp.peek(g) }
+
 // Collect materializes any Dataset into memory with one pass.
 func Collect(ds Dataset) (*InMemory, error) {
 	pts := make([]geom.Point, 0, ds.Len())

@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/parallel"
@@ -39,6 +40,11 @@ type Appendable interface {
 	// digest state is memoized, so after the first computation each new
 	// generation costs one pass over its delta only.
 	GenFingerprint(g uint64, parallelism int) (uint64, error)
+
+	// MemoFingerprint returns generation g's fingerprint only when an
+	// earlier GenFingerprint call has already computed it: it never scans
+	// and never waits on a computation in progress.
+	MemoFingerprint(g uint64) (uint64, bool)
 }
 
 // Interface conformance, checked at compile time.
@@ -255,6 +261,11 @@ type fpMemo struct {
 	fps   []uint64 // finalized fingerprint per generation
 	sums  []uint64 // per-block FNV digests; last entry may be partial
 	count int      // rows folded into sums so far
+
+	// done publishes fps for lock-free reads (peek): entries are never
+	// rewritten once appended, so a published header stays valid while
+	// at holds mu through a pass.
+	done atomic.Pointer[[]uint64]
 }
 
 // at returns the fingerprint of a at generation g, advancing and
@@ -273,8 +284,19 @@ func (m *fpMemo) at(a Appendable, g uint64, parallelism int) (uint64, error) {
 			return 0, err
 		}
 		m.fps = append(m.fps, finalizeFingerprint(a.Dims(), target, m.sums))
+		fps := m.fps
+		m.done.Store(&fps)
 	}
 	return m.fps[g], nil
+}
+
+// peek returns generation g's fingerprint when at has already finalized
+// it, without taking mu.
+func (m *fpMemo) peek(g uint64) (uint64, bool) {
+	if fps := m.done.Load(); fps != nil && g < uint64(len(*fps)) {
+		return (*fps)[g], true
+	}
+	return 0, false
 }
 
 // advance folds rows [m.count, target) into the digest state. The head of

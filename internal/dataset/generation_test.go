@@ -129,6 +129,36 @@ func TestGenFingerprintDeltaPasses(t *testing.T) {
 	}
 }
 
+// TestMemoFingerprintNeverScans: MemoFingerprint reports only what
+// GenFingerprint already finalized — nothing before the first call,
+// nothing for a generation appended since — and never costs a pass.
+func TestMemoFingerprintNeverScans(t *testing.T) {
+	mem, lens := appendStages(t, 2)
+	last := uint64(len(lens) - 1)
+	if _, ok := mem.MemoFingerprint(0); ok {
+		t.Fatal("memo reported a fingerprint no call computed")
+	}
+	want, err := mem.GenFingerprint(last-1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := mem.Passes()
+	for g := uint64(0); g < last; g++ {
+		if _, ok := mem.MemoFingerprint(g); !ok {
+			t.Errorf("generation %d not memoized after computing %d", g, last-1)
+		}
+	}
+	if got, ok := mem.MemoFingerprint(last - 1); !ok || got != want {
+		t.Errorf("memo = %016x, %v; want %016x", got, ok, want)
+	}
+	if _, ok := mem.MemoFingerprint(last); ok {
+		t.Errorf("generation %d memoized before any call computed it", last)
+	}
+	if got := mem.Passes() - before; got != 0 {
+		t.Errorf("memo reads cost %d passes, want 0", got)
+	}
+}
+
 // TestGenViewsFrozen: a generation view taken before an append keeps its
 // length and contents; DeltaView covers exactly the appended rows.
 func TestGenViewsFrozen(t *testing.T) {

@@ -521,6 +521,9 @@ func (sf *SegmentFile) GenFingerprint(g uint64, parallelism int) (uint64, error)
 	return sf.fp.at(sf, g, parallelism)
 }
 
+// MemoFingerprint implements Appendable; see InMemory.MemoFingerprint.
+func (sf *SegmentFile) MemoFingerprint(g uint64) (uint64, bool) { return sf.fp.peek(g) }
+
 // Open opens a binary dataset file of either format, sniffing the magic:
 // DBS1 yields an immutable FileBacked, DBS2 an appendable SegmentFile.
 func Open(path string) (Dataset, error) {

@@ -133,6 +133,15 @@ func DoObs(n, parallelism int, rec *obs.Recorder, fn func(i int) error) error {
 // DoCtxObs is Do with both the cancellation of DoCtx and the accounting of
 // DoObs. Cancellation never changes the result of a run that completes:
 // tasks either all run, or the call returns ErrCanceled.
+//
+// Every worker (the caller itself on the serial path) yields the processor
+// after each task with runtime.Gosched. A scan block is ~2 ms of work, and
+// Go preempts a running goroutine only after 10 ms, so without the yield a
+// goroutine woken while every P runs pool work — a server handler whose
+// request body or response write just became ready — waits behind up to
+// five blocks at each wake-up. The yield bounds that wait to the rest of
+// one task; it costs well under a microsecond when nothing else is
+// runnable, and the task order and results do not depend on it.
 func DoCtxObs(ctx context.Context, n, parallelism int, rec *obs.Recorder, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -154,6 +163,7 @@ func DoCtxObs(ctx context.Context, n, parallelism int, rec *obs.Recorder, fn fun
 			if err := fn(i); err != nil {
 				return err
 			}
+			runtime.Gosched()
 		}
 		return nil
 	}
@@ -187,6 +197,7 @@ func DoCtxObs(ctx context.Context, n, parallelism int, rec *obs.Recorder, fn fun
 					failed.Store(true)
 					return
 				}
+				runtime.Gosched()
 			}
 		}()
 	}

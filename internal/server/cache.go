@@ -189,6 +189,28 @@ func (c *Cache) GetOrBuild(key string, build func() (any, int64, error)) (any, O
 	}
 }
 
+// Hit returns the finished artifact resident under key in the memory
+// tier, counted as one lookup and one hit, or false — counting nothing —
+// when the key is absent, still building, or only in the stale ring. It
+// never builds and never waits, so the conservation law holds whichever
+// way it answers: a false leaves the lookup to a later GetOrBuild.
+func (c *Cache) Hit(key string) (any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return nil, false
+	}
+	e := el.Value.(*centry)
+	if !e.done || e.err != nil || e.stale {
+		return nil, false
+	}
+	c.ll.MoveToFront(el)
+	c.lookups.Add(1)
+	c.hits.Add(1)
+	return e.val, true
+}
+
 // Peek returns the artifact cached under key without building, waiting
 // on an in-flight build, or counting toward the lookup conservation law
 // (peeks have their own counters). The degrade path uses it to check

@@ -315,3 +315,49 @@ func TestCacheConcurrentDistinctKeys(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCacheHitCountsOnlyResident: Cache.Hit answers only a finished,
+// successful primary entry — counted as one lookup and one hit — and
+// counts nothing for an absent key, an in-flight build, a failed build,
+// or a copy that lives only in the stale ring.
+func TestCacheHitCountsOnlyResident(t *testing.T) {
+	c := NewCache(150, 150)
+	miss := func(key, why string) {
+		t.Helper()
+		before := c.Stats()
+		if _, ok := c.Hit(key); ok {
+			t.Errorf("Hit(%q) = true for %s", key, why)
+		}
+		if after := c.Stats(); after.Lookups != before.Lookups || after.Hits != before.Hits {
+			t.Errorf("Hit(%q) on %s counted: %+v -> %+v", key, why, before, after)
+		}
+	}
+	miss("a", "an absent key")
+
+	gate, building, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		c.GetOrBuild("a", func() (any, int64, error) { close(building); <-gate; return "a1", 100, nil })
+	}()
+	<-building
+	miss("a", "an in-flight build")
+	close(gate)
+	<-done
+
+	before := c.Stats()
+	if v, ok := c.Hit("a"); !ok || v != "a1" {
+		t.Fatalf("Hit(a) = %v, %v; want a1, true", v, ok)
+	}
+	if after := c.Stats(); after.Lookups != before.Lookups+1 || after.Hits != before.Hits+1 {
+		t.Errorf("resident Hit counted %+v -> %+v, want one lookup and one hit", before, after)
+	}
+
+	c.GetOrBuild("x", func() (any, int64, error) { return nil, 0, errors.New("boom") })
+	miss("x", "a failed build")
+	// Evict "a" into the stale ring by inserting "b".
+	c.GetOrBuild("b", func() (any, int64, error) { return "b1", 100, nil })
+	miss("a", "a stale-ring copy")
+	if err := c.invariants(); err != nil {
+		t.Error(err)
+	}
+}

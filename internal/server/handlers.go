@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"mime"
 	"net/http"
@@ -32,12 +33,33 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/datasets/{name}/append", s.compute("/v1/datasets/append", s.handleAppend))
 	s.mux.HandleFunc("POST /v1/streams/{name}/append", s.compute("/v1/streams/append", s.handleStreamAppend))
 	s.mux.HandleFunc("DELETE /v1/datasets/{name}", s.handleRemoveDataset)
-	s.mux.HandleFunc("POST /v1/sample", s.compute("/v1/sample", s.handleSample))
+	s.mux.HandleFunc("POST /v1/sample", s.compute(routeSample, s.handleSample))
 	s.mux.HandleFunc("POST /v1/cluster", s.compute("/v1/cluster", s.handleCluster))
 	s.mux.HandleFunc("POST /v1/outliers", s.compute("/v1/outliers", s.handleOutliers))
 	s.mux.HandleFunc("POST "+shard.PathPartials, s.shardRPC(shard.PathPartials, s.handleShardPartials))
 	s.mux.HandleFunc("POST "+shard.PathDraw, s.shardRPC(shard.PathDraw, s.handleShardDraw))
 	obs.Mount(s.mux, s.rec)
+}
+
+// routeSample is the /v1/sample route: the one compute route whose
+// resident answers skip admission (see serveResident).
+const routeSample = "/v1/sample"
+
+// Request body caps per route class. A body past its cap is answered 413
+// without being read further. Sample, cluster, outlier, and JSON
+// registration bodies are parameter objects of a few hundred bytes; shard
+// RPCs carry block index lists; appends and uploads carry points.
+const (
+	maxRequestBody = 64 << 10
+	maxShardBody   = 8 << 20
+	maxAppendBody  = 256 << 20
+	maxUploadBody  = 1 << 30
+)
+
+// bodyLimits holds the caps a server enforces: the constants above, held
+// per server so tests can exercise each route's cap with small bodies.
+type bodyLimits struct {
+	request, shard, append, upload int64
 }
 
 // computeHandler is a pipeline endpoint: it runs under the admission
@@ -78,6 +100,22 @@ func (s *Server) compute(route string, fn computeHandler) http.HandlerFunc {
 			s.finishRequest(tr, route, tenant, sw, start)
 		}()
 
+		// Admission guards builds, not resident answers: a /v1/sample
+		// whose artifact is finished in memory is served here without a
+		// slot, so a hit never waits behind another tenant's cold build.
+		// The body is decoded once, and everything else falls through
+		// with the decoded request. A draining server serves nothing new,
+		// hits included; admission refuses every request once draining
+		// starts, so handleSample and the degrade ladder always find the
+		// decoded request in ctx.
+		if route == routeSample && !s.adm.Draining() {
+			sc := s.decodeSample(sw, r)
+			if s.serveResident(ctx, sw, sc) {
+				return
+			}
+			ctx = context.WithValue(ctx, sampleCallKey{}, sc)
+		}
+
 		tr.Begin("admission/wait")
 		admStart := time.Now()
 		release, queuedWait, err := s.adm.EnterTenant(ctx, tenant)
@@ -105,7 +143,7 @@ func (s *Server) compute(route string, fn computeHandler) http.HandlerFunc {
 				// Shed by policy (queue full or preempted by a higher-
 				// priority tenant): try the degrade ladder before
 				// answering 429 with the observed median wait.
-				if s.cfg.DegradeOK && route == "/v1/sample" && s.tryDegradeSample(ctx, sw, r) {
+				if s.cfg.DegradeOK && route == routeSample && s.tryDegradeSample(ctx, sw, sampleCallFrom(ctx)) {
 					return
 				}
 				sw.Header().Set("Retry-After", s.retryAfterHint(0.50, 1))
@@ -131,12 +169,33 @@ func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...an
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// requestFail answers a malformed request: 413 when its body overran
+// the route's cap, 400 otherwise.
+func (s *Server) requestFail(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	if tooLarge(err) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	s.fail(w, code, "%v", err)
+}
+
+// tooLarge reports whether err comes from a body that overran its cap.
+func tooLarge(err error) bool {
+	var mbe *http.MaxBytesError
+	return errors.As(err, &mbe)
+}
+
 // pipelineFail maps a pipeline error onto a status: cancellation from
 // the request deadline becomes 504, a transient failure that survived
 // the retry budget becomes 503 + Retry-After (the server is healthy,
-// the attempt was unlucky), everything else 422 (the request was
-// well-formed but the pipeline rejected or could not finish it).
+// the attempt was unlucky), a body over its cap 413, everything else
+// 422 (the request was well-formed but the pipeline rejected or could
+// not finish it).
 func (s *Server) pipelineFail(w http.ResponseWriter, err error) {
+	if tooLarge(err) {
+		s.fail(w, http.StatusRequestEntityTooLarge, "%v", err)
+		return
+	}
 	if errors.Is(err, dataset.ErrCanceled) {
 		s.fail(w, http.StatusGatewayTimeout, "deadline exceeded: %v", err)
 		return
@@ -160,10 +219,22 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Write(append(body, '\n'))
 }
 
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<30))
+// decodeJSON decodes r's body, capped at limit bytes, into v.
+func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(limitBody(w, r, limit))
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
+}
+
+// limitBody caps r's body at n bytes; reading past the cap fails with
+// *http.MaxBytesError. The cap is handed the connection's own writer,
+// not the compute wrapper, so an overrun also closes the connection
+// instead of draining the rest of the body.
+func limitBody(w http.ResponseWriter, r *http.Request, n int64) io.Reader {
+	if sw, ok := w.(*statusWriter); ok {
+		w = sw.ResponseWriter
+	}
+	return http.MaxBytesReader(w, r.Body, n)
 }
 
 // markCache reports hit/miss/stale in a header, never in the body:
@@ -255,8 +326,8 @@ func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 	switch ct {
 	case "", "application/json":
 		var req registerRequest
-		if err := decodeJSON(r, &req); err != nil {
-			s.fail(w, http.StatusBadRequest, "decoding request: %v", err)
+		if err := decodeJSON(w, r, s.limits.request, &req); err != nil {
+			s.requestFail(w, fmt.Errorf("decoding request: %w", err))
 			return
 		}
 		if req.Path == "" {
@@ -274,18 +345,9 @@ func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, http.StatusBadRequest, "uploads need a ?name= query parameter")
 			return
 		}
-		body := http.MaxBytesReader(w, r.Body, 1<<30)
-		var (
-			ds  *dataset.InMemory
-			err error
-		)
-		if ct == "text/csv" {
-			ds, err = dataset.ReadCSV(body)
-		} else {
-			ds, err = dataset.ReadBinary(body)
-		}
+		ds, err := readPoints(ct, limitBody(w, r, s.limits.upload))
 		if err != nil {
-			s.fail(w, http.StatusBadRequest, "parsing upload: %v", err)
+			s.requestFail(w, fmt.Errorf("parsing upload: %w", err))
 			return
 		}
 		if err := s.reg.RegisterDataset(name, ds); err != nil {
@@ -323,13 +385,22 @@ type appendResponse struct {
 	Fingerprint string `json:"fingerprint"`
 }
 
-// decodeAppendBody parses an append payload in any of the upload formats.
-func decodeAppendBody(r *http.Request) ([]geom.Point, error) {
+// readPoints parses an upload body: CSV for text/csv, DBS1 otherwise.
+func readPoints(ct string, body io.Reader) (*dataset.InMemory, error) {
+	if ct == "text/csv" {
+		return dataset.ReadCSV(body)
+	}
+	return dataset.ReadBinary(body)
+}
+
+// decodeAppendBody parses an append payload in any of the upload formats,
+// capped at limit bytes.
+func decodeAppendBody(w http.ResponseWriter, r *http.Request, limit int64) ([]geom.Point, error) {
 	ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	switch ct {
 	case "", "application/json":
 		var req appendRequest
-		if err := decodeJSON(r, &req); err != nil {
+		if err := decodeJSON(w, r, limit, &req); err != nil {
 			return nil, err
 		}
 		if len(req.Points) == 0 {
@@ -341,16 +412,7 @@ func decodeAppendBody(r *http.Request) ([]geom.Point, error) {
 		}
 		return pts, nil
 	case "application/octet-stream", "text/csv":
-		body := http.MaxBytesReader(nil, r.Body, 1<<30)
-		var (
-			ds  *dataset.InMemory
-			err error
-		)
-		if ct == "text/csv" {
-			ds, err = dataset.ReadCSV(body)
-		} else {
-			ds, err = dataset.ReadBinary(body)
-		}
+		ds, err := readPoints(ct, limitBody(w, r, limit))
 		if err != nil {
 			return nil, err
 		}
@@ -380,9 +442,9 @@ func (s *Server) handleAppend(ctx context.Context, rec *obs.Recorder, w http.Res
 		s.fail(w, http.StatusConflict, "dataset %q is not appendable", name)
 		return
 	}
-	pts, err := decodeAppendBody(r)
+	pts, err := decodeAppendBody(w, r, s.limits.append)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "parsing append body: %v", err)
+		s.requestFail(w, fmt.Errorf("parsing append body: %w", err))
 		return
 	}
 	aerr := s.runStage(ctx, rec, "server/append", faults.SiteHash(name), func(sctx context.Context) error {
@@ -878,17 +940,81 @@ type sampleResponse struct {
 	Points      []samplePoint `json:"points"`
 }
 
+// sampleCall is a decoded, normalized /v1/sample request. compute decodes
+// the body once, before admission, and the resident-hit probe, the
+// degrade ladder, and handleSample all read the same value.
+type sampleCall struct {
+	req sampleRequest
+	p   estParams
+	err error // decode (400, or 413 past the cap) or normalize (400) failure
+}
+
+type sampleCallKey struct{}
+
+// sampleCallFrom returns the request compute decoded before admission.
+func sampleCallFrom(ctx context.Context) *sampleCall {
+	sc, _ := ctx.Value(sampleCallKey{}).(*sampleCall)
+	return sc
+}
+
+// decodeSample reads and normalizes a /v1/sample body.
+func (s *Server) decodeSample(w http.ResponseWriter, r *http.Request) *sampleCall {
+	sc := &sampleCall{}
+	if err := decodeJSON(w, r, s.limits.request, &sc.req); err != nil {
+		sc.err = fmt.Errorf("decoding request: %w", err)
+		return sc
+	}
+	sc.p, sc.err = sc.req.normalize()
+	return sc
+}
+
+// serveResident answers a /v1/sample from a finished sample artifact
+// resident in the memory tier, before admission, and reports whether it
+// did. It resolves the dataset and its fingerprint from memos only, so it
+// never opens a file, runs a dataset pass or fingerprint computation,
+// builds, or waits on a build: an unopened path entry, an un-memoized
+// generation or window fingerprint, an in-flight build, a stale or
+// disk-only copy, and a malformed request all report false and take the
+// admitted path. The hit counts as one cache lookup and one hit, and its
+// body is the bytes the admitted path would write for the same key.
+func (s *Server) serveResident(ctx context.Context, w http.ResponseWriter, sc *sampleCall) bool {
+	if sc.err != nil {
+		return false
+	}
+	tr := trace.FromContext(ctx)
+	t0 := tr.Now()
+	h, ok := s.reg.AcquireResident(sc.req.Dataset)
+	if !ok {
+		return false
+	}
+	defer h.Release()
+	fp, ok := s.memoFingerprint(h)
+	if !ok {
+		return false
+	}
+	t1 := tr.Now()
+	v, ok := s.cache.Hit(sc.req.key(fp, sc.p))
+	if !ok {
+		return false
+	}
+	s.syncCacheCounters()
+	s.rec.Counter(CtrHitsUnadmitted).Inc()
+	if tr != nil {
+		tr.Add("registry/acquire", t0, t1, 0, "dataset="+sc.req.Dataset)
+		tr.Add("cache/sample", t1, tr.Now(), 0, fmt.Sprintf("%s gen=%d", OutcomeHit, h.Generation()))
+	}
+	markCache(w, OutcomeHit)
+	writeSampleResponse(w, sc.req.Dataset, sc.req.Alpha, fp, v.(*sampleArtifact).s)
+	return true
+}
+
 func (s *Server) handleSample(ctx context.Context, rec *obs.Recorder, w http.ResponseWriter, r *http.Request) {
-	var req sampleRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, "decoding request: %v", err)
+	sc := sampleCallFrom(ctx)
+	if sc.err != nil {
+		s.requestFail(w, sc.err)
 		return
 	}
-	p, err := req.normalize()
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	req, p := sc.req, sc.p
 	h, err := s.acquireTraced(ctx, req.Dataset)
 	if err != nil {
 		s.acquireFail(w, err)
@@ -948,22 +1074,18 @@ func writeSampleResponse(w http.ResponseWriter, name string, alpha float64, fp u
 // It reports whether a degraded response was served; on false the
 // caller falls through to the 429. Only cached artifacts qualify: the
 // peek path runs no build, no dataset pass, and needs no admission
-// slot, so serving it cannot deepen the overload being shed.
-func (s *Server) tryDegradeSample(ctx context.Context, w http.ResponseWriter, r *http.Request) bool {
-	var req sampleRequest
-	if err := decodeJSON(r, &req); err != nil {
+// slot, so serving it cannot deepen the overload being shed. sc is the
+// request compute decoded before admission.
+func (s *Server) tryDegradeSample(ctx context.Context, w http.ResponseWriter, sc *sampleCall) bool {
+	if sc.err != nil {
 		return false
 	}
-	p, err := req.normalize()
-	if err != nil {
-		return false
-	}
-	h, err := s.acquireTraced(ctx, req.Dataset)
+	h, err := s.acquireTraced(ctx, sc.req.Dataset)
 	if err != nil {
 		return false
 	}
 	defer h.Release()
-	return s.degradeSample(w, req, p, h)
+	return s.degradeSample(w, sc.req, sc.p, h)
 }
 
 // degradeSample serves the cached a=0 rung for req's identity through an
@@ -1061,8 +1183,8 @@ type clusterResponse struct {
 
 func (s *Server) handleCluster(ctx context.Context, rec *obs.Recorder, w http.ResponseWriter, r *http.Request) {
 	var req clusterRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, "decoding request: %v", err)
+	if err := decodeJSON(w, r, s.limits.request, &req); err != nil {
+		s.requestFail(w, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	if req.K <= 0 {
@@ -1145,8 +1267,8 @@ type outlierResponse struct {
 
 func (s *Server) handleOutliers(ctx context.Context, rec *obs.Recorder, w http.ResponseWriter, r *http.Request) {
 	var req outlierRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, "decoding request: %v", err)
+	if err := decodeJSON(w, r, s.limits.request, &req); err != nil {
+		s.requestFail(w, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	if req.Method == "" {

@@ -159,17 +159,50 @@ func (r *Registry) Acquire(name string) (*Handle, error) {
 		}
 		e.ds = ds
 	}
+	ds := e.ds
 	e.openMu.Unlock()
+	return r.lease(e, ds), nil
+}
 
-	h := &Handle{r: r, e: e, ds: e.ds}
-	if app, ok := e.ds.(dataset.Appendable); ok {
+// AcquireResident is Acquire for the pre-admission cache probe: it
+// returns a handle only when the entry is already open, and never opens a
+// file or waits on an open or fingerprint pass in progress (both hold the
+// entry's open lock). On false the caller takes the admitted path.
+func (r *Registry) AcquireResident(name string) (*Handle, bool) {
+	r.mu.Lock()
+	e, ok := r.entries[name]
+	if !ok || e.removed {
+		r.mu.Unlock()
+		return nil, false
+	}
+	e.refs++
+	r.mu.Unlock()
+
+	if !e.openMu.TryLock() {
+		r.release(e)
+		return nil, false
+	}
+	ds := e.ds
+	e.openMu.Unlock()
+	if ds == nil {
+		r.release(e)
+		return nil, false
+	}
+	return r.lease(e, ds), true
+}
+
+// lease wraps an acquired, open entry in a handle pinned to the
+// dataset's current generation.
+func (r *Registry) lease(e *regEntry, ds dataset.Dataset) *Handle {
+	h := &Handle{r: r, e: e, ds: ds}
+	if app, ok := ds.(dataset.Appendable); ok {
 		gen := app.Generation()
 		view, err := dataset.GenView(app, gen)
 		if err == nil {
 			h.ds, h.gen, h.app = view, gen, app
 		}
 	}
-	return h, nil
+	return h
 }
 
 // Dataset returns the leased dataset: for appendable datasets a frozen
@@ -280,6 +313,22 @@ func (h *Handle) FingerprintAt(g uint64) (uint64, error) {
 		e.fp, e.fpDone = fp, true
 	}
 	return e.fp, nil
+}
+
+// MemoFingerprint returns the pinned generation's fingerprint when it is
+// already memoized, without computing it or waiting on a pass in
+// progress. It ignores any window: the serving layer resolves window
+// fingerprints from its own memo.
+func (h *Handle) MemoFingerprint() (uint64, bool) {
+	if h.app != nil {
+		return h.app.MemoFingerprint(h.gen)
+	}
+	e := h.e
+	if !e.openMu.TryLock() {
+		return 0, false
+	}
+	defer e.openMu.Unlock()
+	return e.fp, e.fpDone
 }
 
 // Release returns the lease. The handle must not be used afterwards.

@@ -55,6 +55,51 @@ func TestRegistryLazyOpenAndList(t *testing.T) {
 	}
 }
 
+// TestRegistryAcquireResident: the memo-only acquire never opens a file
+// or computes a fingerprint — it leases only open entries, and
+// MemoFingerprint reports a fingerprint only once a real pass made it.
+func TestRegistryAcquireResident(t *testing.T) {
+	r := NewRegistry(1)
+	if err := r.RegisterPath("pts", testFile(t, 100, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.AcquireResident("nope"); ok {
+		t.Error("AcquireResident found an unregistered name")
+	}
+	if _, ok := r.AcquireResident("pts"); ok {
+		t.Error("AcquireResident leased an unopened path entry")
+	}
+	if infos := r.List(); infos[0].Open {
+		t.Fatalf("AcquireResident opened the file: %+v", infos)
+	}
+	h, err := r.Acquire("pts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	h, ok := r.AcquireResident("pts")
+	if !ok {
+		t.Fatal("AcquireResident refused an open entry")
+	}
+	if _, ok := h.MemoFingerprint(); ok {
+		t.Error("MemoFingerprint reported a fingerprint no pass computed")
+	}
+	want, err := h.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := h.MemoFingerprint(); !ok || got != want {
+		t.Errorf("MemoFingerprint = %016x, %v; want %016x", got, ok, want)
+	}
+	h.Release()
+	if err := r.Remove("pts"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.AcquireResident("pts"); ok {
+		t.Error("AcquireResident leased a removed entry")
+	}
+}
+
 func TestRegistryMissingAndDuplicate(t *testing.T) {
 	r := NewRegistry(1)
 	if _, err := r.Acquire("nope"); !errors.Is(err, ErrNotFound) {

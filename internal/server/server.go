@@ -35,6 +35,10 @@ const (
 	CtrCacheDisk     = "server_cache_disk_hits_total"
 	CtrKDEBuilds     = "server_kde_builds_total"
 
+	// CtrHitsUnadmitted counts /v1/sample requests answered from a
+	// resident artifact before admission (they also count as cache hits).
+	CtrHitsUnadmitted = "server_sample_hits_unadmitted_total"
+
 	GaugeInFlight   = "server_in_flight"
 	GaugeCacheBytes = "server_cache_bytes"
 )
@@ -285,6 +289,9 @@ type Server struct {
 	rec   *obs.Recorder
 	mux   *http.ServeMux
 
+	// limits caps request bodies per route class.
+	limits bodyLimits
+
 	// Fault-injection points guarding the build stages and the append
 	// path; nil (the usual case) injects nothing.
 	pEst         *faults.Point
@@ -326,6 +333,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:          cfg,
+		limits:       bodyLimits{maxRequestBody, maxShardBody, maxAppendBody, maxUploadBody},
 		reg:          NewRegistry(cfg.Parallelism),
 		cache:        NewCache(cfg.CacheBytes, staleBytes),
 		adm:          NewTenantAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.Tenants),

@@ -205,7 +205,7 @@ func (s *Server) shardEstimatorAt(ctx context.Context, rec *obs.Recorder, h *Han
 // user request the coordinator already admitted; admitting them again
 // would let the internal fan-out of admitted work deadlock behind new
 // external work.
-func (s *Server) shardRPC(route string, fn func(ctx context.Context, r *http.Request) (any, error)) http.HandlerFunc {
+func (s *Server) shardRPC(route string, fn func(ctx context.Context, w http.ResponseWriter, r *http.Request) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		s.rec.Counter(CtrRequests).Inc()
@@ -226,7 +226,7 @@ func (s *Server) shardRPC(route string, fn func(ctx context.Context, r *http.Req
 			s.observe(route, start)
 			s.finishRequest(tr, route, r.Header.Get(TenantHeader), sw, start)
 		}()
-		resp, err := fn(ctx, r)
+		resp, err := fn(ctx, sw, r)
 		if err != nil {
 			s.pipelineFail(sw, err)
 			return
@@ -235,18 +235,18 @@ func (s *Server) shardRPC(route string, fn func(ctx context.Context, r *http.Req
 	}
 }
 
-func (s *Server) handleShardPartials(ctx context.Context, r *http.Request) (any, error) {
+func (s *Server) handleShardPartials(ctx context.Context, w http.ResponseWriter, r *http.Request) (any, error) {
 	var req shard.PartialsRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return nil, fmt.Errorf("decoding shard partials request: %v", err)
+	if err := decodeJSON(w, r, s.limits.shard, &req); err != nil {
+		return nil, fmt.Errorf("decoding shard partials request: %w", err)
 	}
 	return s.shardEx.Partials(ctx, &req)
 }
 
-func (s *Server) handleShardDraw(ctx context.Context, r *http.Request) (any, error) {
+func (s *Server) handleShardDraw(ctx context.Context, w http.ResponseWriter, r *http.Request) (any, error) {
 	var req shard.DrawRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return nil, fmt.Errorf("decoding shard draw request: %v", err)
+	if err := decodeJSON(w, r, s.limits.shard, &req); err != nil {
+		return nil, fmt.Errorf("decoding shard draw request: %w", err)
 	}
 	return s.shardEx.Draw(ctx, &req)
 }

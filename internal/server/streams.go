@@ -67,22 +67,31 @@ func (s *Server) markAppend(name string, g uint64, create bool) {
 // the handle is left unwindowed and the (cheaper, prefix-memoized)
 // generation fingerprint path applies.
 func (s *Server) applyWindow(h *Handle) error {
-	if h.Appendable() == nil {
-		return nil
-	}
-	if s.cfg.WindowPoints <= 0 && s.cfg.WindowDur <= 0 {
-		return nil
-	}
-	st := s.stream(h.Name(), false)
-	if st == nil {
+	st, start, end := s.windowOf(h)
+	if start <= 0 {
 		return nil
 	}
 	g := h.Generation()
-	end := h.GenLen(g)
-	if end == 0 {
-		return nil
+	fp := func() (uint64, error) { return st.fingerprint(h, g, start, end, s.reg.parallelism) }
+	return h.ApplyWindow(start, end, fp)
+}
+
+// windowOf resolves the window [start, end) over h's pinned generation.
+// start ≤ 0 means no window applies (not a stream, windows off, or the
+// window covers the whole generation) and st may be nil.
+func (s *Server) windowOf(h *Handle) (st *streamState, start, end int) {
+	if h.Appendable() == nil {
+		return nil, 0, 0
 	}
-	start := 0
+	if s.cfg.WindowPoints <= 0 && s.cfg.WindowDur <= 0 {
+		return nil, 0, 0
+	}
+	st = s.stream(h.Name(), false)
+	if st == nil {
+		return nil, 0, 0
+	}
+	g := h.Generation()
+	end = h.GenLen(g)
 	if n := s.cfg.WindowPoints; n > 0 && end-n > start {
 		start = end - n
 	}
@@ -91,11 +100,22 @@ func (s *Server) applyWindow(h *Handle) error {
 			start = ds
 		}
 	}
+	return st, start, end
+}
+
+// memoFingerprint returns the fingerprint the admitted path would
+// cache-key h's request by — the window's when a window applies, the
+// pinned generation's otherwise — but only when it is already memoized:
+// it never scans, so the pre-admission cache probe can call it.
+func (s *Server) memoFingerprint(h *Handle) (uint64, bool) {
+	st, start, _ := s.windowOf(h)
 	if start <= 0 {
-		return nil
+		return h.MemoFingerprint()
 	}
-	fp := func() (uint64, error) { return st.fingerprint(h, g, start, end, s.reg.parallelism) }
-	return h.ApplyWindow(start, end, fp)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	fp, ok := st.fps[winKey{gen: h.Generation(), start: start}]
+	return fp, ok
 }
 
 // durStart resolves the duration window's start over generations 0..g:
@@ -166,9 +186,9 @@ func (s *Server) handleStreamAppend(ctx context.Context, rec *obs.Recorder, w ht
 	span := rec.StartSpan("server/stream_append")
 	defer span.End()
 	name := r.PathValue("name")
-	pts, err := decodeAppendBody(r)
+	pts, err := decodeAppendBody(w, r, s.limits.append)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "parsing append body: %v", err)
+		s.requestFail(w, fmt.Errorf("parsing append body: %w", err))
 		return
 	}
 	if len(pts) == 0 {

@@ -43,9 +43,15 @@ go test -race -run 'Stream|Window' -short ./internal/server/ ./internal/stream/ 
 # Multi-tenant admission smoke: the weighted-fair queue (starvation,
 # weighted share, per-tenant caps, priority preemption), the degrade
 # ladder, the disk artifact tier's restart survival, the Retry-After
-# hint regression, and access-log line atomicity — all under the race
-# detector.
-go test -race -run 'WFQ|Tenant|Degraded|DiskTier|RetryAfter|AccessLog' ./internal/server/
+# hint regression, access-log line atomicity, and the resident-hit path
+# that answers cached samples before admission (byte identity with the
+# slot held, drain and shed fall-through, nothing computed before
+# admission, chaos accounting) — all under the race detector.
+go test -race -run 'WFQ|Tenant|Degraded|DiskTier|RetryAfter|AccessLog|Hit' ./internal/server/
+# Request-decoding fuzz: /v1/sample bodies through the capped JSON
+# decode, normalize, and cache key — no panics, and accepted requests
+# key the same after a JSON round trip.
+go test -run '^$' -fuzz FuzzSampleRequest -fuzztime 10s ./internal/server
 # Sustained-load smoke: the three-tenant WFQ/degrade/chaos proof in
 # quick mode. Fails loudly if any tenant sees a non-shed failure (a 5xx
 # surprise or transport error); the committed BENCH_load.json holds the
