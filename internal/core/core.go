@@ -33,9 +33,7 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
@@ -61,163 +59,6 @@ type DensityBatcher interface {
 	DensityBatch(pts []geom.Point, out []float64)
 }
 
-// ColumnarDensityBatcher is optionally implemented by estimators that can
-// consume a block's column view directly (kde.Estimator does). At float64
-// the results must be bit-identical to DensityBatch over the same points —
-// the parity contract Options.Layout relies on.
-type ColumnarDensityBatcher interface {
-	DensityBatchCols(cols [][]float64, out []float64)
-}
-
-// ColumnarDensityBatcher32 is the float32 evaluation path behind
-// Options.Precision: column input, single-precision kernel arithmetic,
-// widened results. Implementations may fall back to float64 when they have
-// no single-precision engine for their kernel.
-type ColumnarDensityBatcher32 interface {
-	DensityBatchCols32(cols [][]float64, out []float64)
-}
-
-// evalDensities fills out[:len(pts)] with est's density at each point,
-// through the batch interface when available.
-func evalDensities(est DensityEstimator, pts []geom.Point, out []float64) {
-	if b, ok := est.(DensityBatcher); ok {
-		b.DensityBatch(pts, out)
-		return
-	}
-	for i, p := range pts {
-		out[i] = est.Density(p)
-	}
-}
-
-// evalDensitiesLayout routes one block's density evaluation: the column
-// view (when the scan produced one and the estimator consumes it) with the
-// requested precision, the row batch otherwise. Estimators without any
-// batch interface fall back to per-point Density in index order.
-func evalDensitiesLayout(est DensityEstimator, pts []geom.Point, cols [][]float64, prec Precision, out []float64) {
-	if cols != nil {
-		if prec == Float32 {
-			if b, ok := est.(ColumnarDensityBatcher32); ok {
-				b.DensityBatchCols32(cols, out)
-				return
-			}
-		}
-		if b, ok := est.(ColumnarDensityBatcher); ok {
-			b.DensityBatchCols(cols, out)
-			return
-		}
-	}
-	evalDensities(est, pts, out)
-}
-
-// scanBlocksLayout runs one pass over ds delivering blocks in the
-// requested layout: the columnar scan hands fn the transposed column slab
-// next to the row view, the row scan hands cols == nil. Block boundaries,
-// ordering, and pass accounting are identical either way.
-func scanBlocksLayout(ds dataset.Dataset, cfg dataset.ScanConfig, layout Layout, fn func(block, start int, pts []geom.Point, cols [][]float64) error) error {
-	if layout == LayoutRow {
-		return dataset.ScanBlocksCfg(ds, cfg, func(block, start int, pts []geom.Point) error {
-			return fn(block, start, pts, nil)
-		})
-	}
-	return dataset.ScanBlocksCols(ds, cfg, func(b dataset.Block) error {
-		return fn(b.Index, b.Start, b.Points, b.Cols)
-	})
-}
-
-// coinScratch is the pooled per-block working set of the fused
-// density→power→coin pass: a density/weight buffer and the (index, prob)
-// pairs of the block's selected points, recorded before any allocation so
-// the selection loop touches nothing but scratch.
-type coinScratch struct {
-	dens  []float64
-	idx   []int32
-	probs []float64
-}
-
-var coinScratchPool = sync.Pool{New: func() interface{} { return new(coinScratch) }}
-
-func getCoinScratch(n int) *coinScratch {
-	sc := coinScratchPool.Get().(*coinScratch)
-	if cap(sc.dens) < n {
-		sc.dens = make([]float64, n)
-		sc.idx = make([]int32, n)
-		sc.probs = make([]float64, n)
-	}
-	sc.dens = sc.dens[:n]
-	sc.idx = sc.idx[:n]
-	sc.probs = sc.probs[:n]
-	return sc
-}
-
-// sampleArena hands out exactly-sized WeightedPoint segments and
-// coordinate slabs carved from shared chunks, replacing the per-point
-// Clone of selected points. Chunks are append-only: growing the arena
-// allocates a fresh chunk and previously carved segments stay valid (the
-// GC keeps old chunks alive through them). One mutex-guarded bump per
-// block, two allocations per chunk — amortized, zero allocations per
-// block in steady state.
-type sampleArena struct {
-	mu     sync.Mutex
-	dims   int
-	wps    []dataset.WeightedPoint
-	coords []float64
-	idxs   []int64
-}
-
-const arenaChunk = 1024
-
-func (a *sampleArena) alloc(k int) ([]dataset.WeightedPoint, []float64, []int64) {
-	if k == 0 {
-		return nil, nil, nil
-	}
-	a.mu.Lock()
-	if k > cap(a.wps)-len(a.wps) {
-		size := arenaChunk
-		if k > size {
-			size = k
-		}
-		a.wps = make([]dataset.WeightedPoint, 0, size)
-	}
-	wps := a.wps[len(a.wps) : len(a.wps)+k : len(a.wps)+k]
-	a.wps = a.wps[:len(a.wps)+k]
-	cs := k * a.dims
-	if cs > cap(a.coords)-len(a.coords) {
-		size := arenaChunk * a.dims
-		if cs > size {
-			size = cs
-		}
-		a.coords = make([]float64, 0, size)
-	}
-	coords := a.coords[len(a.coords) : len(a.coords)+cs : len(a.coords)+cs]
-	a.coords = a.coords[:len(a.coords)+cs]
-	if k > cap(a.idxs)-len(a.idxs) {
-		size := arenaChunk
-		if k > size {
-			size = k
-		}
-		a.idxs = make([]int64, 0, size)
-	}
-	idxs := a.idxs[len(a.idxs) : len(a.idxs)+k : len(a.idxs)+k]
-	a.idxs = a.idxs[:len(a.idxs)+k]
-	a.mu.Unlock()
-	return wps, coords, idxs
-}
-
-// fillBlockSample copies the selected points of one block out of the scan
-// buffer into arena-carved storage and builds their weighted entries plus
-// their dataset indices (start is the block's global offset).
-func fillBlockSample(arena *sampleArena, pts []geom.Point, sc *coinScratch, count, start int) ([]dataset.WeightedPoint, []int64) {
-	wps, coords, idxs := arena.alloc(count)
-	d := arena.dims
-	for k := 0; k < count; k++ {
-		dst := coords[k*d : (k+1)*d : (k+1)*d]
-		copy(dst, pts[sc.idx[k]])
-		wps[k] = dataset.WeightedPoint{P: geom.Point(dst), W: 1 / sc.probs[k]}
-		idxs[k] = int64(start) + int64(sc.idx[k])
-	}
-	return wps, idxs
-}
-
 // centersEstimator is optionally implemented by estimators that expose
 // their own construction sample (kernel centers) and represented size; the
 // one-pass variant uses it to approximate the normalizer k_a without an
@@ -226,51 +67,6 @@ type centersEstimator interface {
 	Centers() []geom.Point
 	N() int
 }
-
-// NormRescaler is optionally implemented by estimators that know how a
-// point's density changes when the estimator is extended (or shrunk) from
-// a prior state: NormRescale returns s such that f'(x) ≈ s·f(x) on the
-// surviving prefix, given the prior state's represented size and kernel
-// count. ExtendDraw and ShrinkDraw consult it in place of the KDE default
-// s = (n'/N)·(ks/ks'). Estimators whose densities are absolute counts
-// independent of the represented size — the streaming sketch estimator —
-// return 1: evicting or appending points leaves a surviving point's
-// estimate (approximately) unchanged, so the prior normalizer carries
-// over at face value.
-type NormRescaler interface {
-	NormRescale(priorN, priorKernels int) float64
-}
-
-// Layout selects which view of each scan block the density evaluation
-// consumes.
-type Layout int
-
-const (
-	// LayoutColumnar (the default) evaluates densities over the block's
-	// column view: D contiguous coordinate slices per block, the layout
-	// the fused kernel in internal/kde is built around. At Float64 the
-	// results are bit-identical to LayoutRow — proven by parity tests —
-	// so the choice is a performance knob, not part of a run's identity.
-	LayoutColumnar Layout = iota
-	// LayoutRow evaluates densities over the row view, the reference path.
-	LayoutRow
-)
-
-// Precision selects the floating-point width of the density kernel.
-type Precision int
-
-const (
-	// Float64 (the default) evaluates densities in double precision; the
-	// deterministic bit-for-bit contracts hold at this setting.
-	Float64 Precision = iota
-	// Float32 evaluates the density kernel in single precision over the
-	// columnar layout, trading a bounded relative density error (see
-	// DESIGN.md, "Memory layout & zero-copy scans") for halved memory
-	// bandwidth. Results remain deterministic — identical at every
-	// Parallelism and across repeated runs — but are not bit-equal to
-	// Float64 runs. Requires LayoutColumnar.
-	Float32
-)
 
 // Options configure one biased-sampling run.
 type Options struct {
@@ -314,17 +110,6 @@ type Options struct {
 	// changes which points are drawn, while changing Parallelism never
 	// does.
 	BlockSize int
-
-	// Layout selects the row or columnar density-evaluation path. Like
-	// Parallelism — and unlike BlockSize — it is NOT part of the run's
-	// identity: at Float64 both layouts draw byte-identical samples.
-	Layout Layout
-
-	// Precision selects the kernel's floating-point width. Float32 needs
-	// the columnar layout and changes density values within the documented
-	// error bound (and therefore which points are drawn); Float64 keeps
-	// every bit-for-bit guarantee.
-	Precision Precision
 
 	// WeightMemo, when non-nil, carries per-block biased weights from a
 	// sharded draw's normalization phase (NormPartials stores them) to its
@@ -383,17 +168,6 @@ type Sample struct {
 	// Saturated counts points whose inclusion probability was clipped at
 	// 1. When zero, E[len(Points)] equals the target size exactly.
 	Saturated int
-
-	// Indices, when non-nil, holds the dataset index of each sampled
-	// point, parallel to Points (both are in dataset index order). Draw
-	// and ExtendDraw fill it; ShrinkDraw consumes it to identify evicted
-	// sample points without a dataset pass. It is nil on samples whose
-	// provenance does not carry indices — a sharded merge assembled from
-	// wire blocks, or a sample decoded from a serialized artifact — and
-	// the codec deliberately does not persist it. Nil propagates: an
-	// ExtendDraw over a prior without indices returns a sample without
-	// them.
-	Indices []int64
 }
 
 // PlainPoints returns just the sampled points, for algorithms that do not
@@ -420,27 +194,11 @@ func (s *Sample) PlainPoints() []geom.Point {
 // with 1 worker or 8 returns byte-identical points, weights, Norm, and
 // Saturated. rng advances by a fixed small amount, not once per point.
 func Draw(ds dataset.Dataset, est DensityEstimator, opts Options, rng *stats.RNG) (*Sample, error) {
-	if est == nil {
-		return nil, errors.New("core: nil density estimator")
-	}
-	if opts.TargetSize <= 0 {
-		return nil, errors.New("core: TargetSize must be positive")
+	floor, err := validate(ds, est, opts, true)
+	if err != nil {
+		return nil, err
 	}
 	n := ds.Len()
-	if n == 0 {
-		return nil, errors.New("core: empty dataset")
-	}
-	floor := opts.FloorDensity
-	if floor < 0 {
-		return nil, errors.New("core: negative FloorDensity")
-	}
-	if opts.Precision == Float32 && opts.Layout == LayoutRow {
-		return nil, errors.New("core: Float32 requires the columnar layout")
-	}
-	if floor == 0 {
-		floor = defaultFloor(est)
-	}
-
 	rec := opts.Obs
 	span := rec.StartSpan("draw")
 	defer span.End()
@@ -453,14 +211,15 @@ func Draw(ds dataset.Dataset, est DensityEstimator, opts Options, rng *stats.RNG
 		if !ok {
 			return nil, errors.New("core: OnePass requires an estimator exposing Centers and N")
 		}
-		var err error
 		norm, err = approxNorm(ce, opts.Alpha, floor)
 		if err != nil {
 			return nil, err
 		}
 		if opts.VerifyNorm && rec != nil {
 			vspan := rec.StartSpan("draw/verify_norm")
-			exact, verr := exactNorm(opts.Ctx, ds, est, opts, floor, nil, rec, nil)
+			vopts := opts
+			vopts.Progress = nil
+			exact, verr := exactNorm(ds, est, vopts, floor, nil)
 			vspan.AddPoints(int64(n))
 			vspan.End()
 			if verr != nil {
@@ -482,8 +241,7 @@ func Draw(ds dataset.Dataset, est DensityEstimator, opts Options, rng *stats.RNG
 		// evaluates densities inside the coin pass.
 		weightCache = make([]float64, n)
 		nspan := rec.StartSpan("draw/normalize")
-		var err error
-		norm, err = exactNorm(opts.Ctx, ds, est, opts, floor, weightCache, rec, opts.Progress)
+		norm, err = exactNorm(ds, est, opts, floor, weightCache)
 		nspan.AddPoints(int64(n))
 		nspan.End()
 		if err != nil {
@@ -491,108 +249,23 @@ func Draw(ds dataset.Dataset, est DensityEstimator, opts Options, rng *stats.RNG
 		}
 		passes++
 	}
-	if norm <= 0 || math.IsInf(norm, 0) || math.IsNaN(norm) {
-		return nil, fmt.Errorf("core: degenerate normalizer k_a = %v", norm)
+	if err := checkNorm(norm); err != nil {
+		return nil, err
 	}
 
-	blockSize := parallel.BlockSize(opts.BlockSize)
-	numBlocks := parallel.NumBlocks(n, blockSize)
-	streams := rng.SplitsValues(numBlocks, nil)
-
-	type blockSample struct {
-		points    []dataset.WeightedPoint
-		indices   []int64
-		saturated int
-	}
-	perBlock := make([]blockSample, numBlocks)
-	arena := &sampleArena{dims: ds.Dims()}
-	b := float64(opts.TargetSize)
-	sspan := rec.StartSpan("draw/sample")
-	cCoins := rec.Counter(obs.CtrCoinFlips)
-	cSat := rec.Counter(obs.CtrSaturated)
-	// With cached weights the coin pass only copies selected rows, so it
-	// scans the row view and skips the columnar transpose.
-	coinLayout := opts.Layout
-	if weightCache != nil {
-		coinLayout = LayoutRow
-	}
-	err := scanBlocksLayout(ds, dataset.ScanConfig{
-		BlockSize:   blockSize,
-		Parallelism: opts.Parallelism,
-		Ctx:         opts.Ctx,
-		Rec:         rec,
-		Progress:    opts.Progress,
-	}, coinLayout, func(block, start int, pts []geom.Point, cols [][]float64) error {
-		// The fused pass: fetch the cached biased weights (OnePass
-		// evaluates them here), flip the block's coins recording (index,
-		// prob) pairs in pooled scratch, then carve exactly-sized storage
-		// for the selections from the shared arena — no per-point Clone,
-		// no per-block allocation.
-		sc := getCoinScratch(len(pts))
-		defer coinScratchPool.Put(sc)
-		var weights []float64
-		if weightCache != nil {
-			weights = weightCache[start : start+len(pts)]
-		} else {
-			weights = sc.dens
-			evalDensitiesLayout(est, pts, cols, opts.Precision, weights)
-			for i, f := range weights {
-				weights[i] = biasedWeight(f, opts.Alpha, floor)
-			}
-		}
-		count, sat := flipCoins(weights, b, norm, &streams[block], sc)
-		wps, idxs := fillBlockSample(arena, pts, sc, count, start)
-		perBlock[block] = blockSample{points: wps, indices: idxs, saturated: sat}
-		cCoins.Add(int64(len(pts)))
-		cSat.Add(int64(sat))
-		return nil
-	})
-	sspan.AddPoints(int64(n))
-	sspan.End()
+	streams := rng.SplitsValues(parallel.NumBlocks(n, parallel.BlockSize(opts.BlockSize)), nil)
+	points, sat, err := coinPass(ds, est, opts, floor, norm, weightCache, streams, nil, "draw/sample")
 	if err != nil {
 		return nil, err
 	}
 	passes++
 
-	out := &Sample{Norm: norm, DataPasses: passes}
-	total := 0
-	for i := range perBlock {
-		total += len(perBlock[i].points)
-	}
-	out.Points = make([]dataset.WeightedPoint, 0, total)
-	out.Indices = make([]int64, 0, total)
-	for i := range perBlock {
-		out.Points = append(out.Points, perBlock[i].points...)
-		out.Indices = append(out.Indices, perBlock[i].indices...)
-		out.Saturated += perBlock[i].saturated
-	}
+	out := &Sample{Points: points, Norm: norm, DataPasses: passes, Saturated: sat}
 	span.AddPoints(int64(n))
 	rec.Counter(obs.CtrSampled).Add(int64(len(out.Points)))
 	rec.Gauge(obs.GaugeSampleNorm).Set(norm)
 	rec.Gauge(obs.GaugeSampleDataPasses).Set(float64(passes))
 	return out, nil
-}
-
-// flipCoins flips the inclusion coin for each biased weight against the
-// normalizer, recording the (index, prob) pairs of the selections into sc.
-// It is the single coin loop shared by the local draws (Draw, ExtendDraw)
-// and the sharded per-block draw (DrawBlocks): the paths must consume brng
-// identically — including Bernoulli's property of consuming no state at
-// p ≤ 0 or p ≥ 1 — or the cross-mode bit-for-bit guarantee breaks.
-func flipCoins(weights []float64, b, norm float64, brng *stats.RNG, sc *coinScratch) (count, sat int) {
-	for i := range weights {
-		prob := b * weights[i] / norm
-		if prob >= 1 {
-			prob = 1
-			sat++
-		}
-		if brng.Bernoulli(prob) {
-			sc.idx[count] = int32(i)
-			sc.probs[count] = prob
-			count++
-		}
-	}
-	return count, sat
 }
 
 // ExactNorm computes k_a = Σ_{x ∈ ds} max(f(x), floor)^a in one pass,
@@ -611,58 +284,10 @@ func ExactNorm(ds dataset.Dataset, est DensityEstimator, alpha, floor float64) (
 // completion-order or atomic reduction would make k_a depend on goroutine
 // scheduling).
 func ExactNormParallel(ds dataset.Dataset, est DensityEstimator, alpha, floor float64, parallelism, blockSize int) (float64, error) {
-	return exactNorm(nil, ds, est, Options{Alpha: alpha, Parallelism: parallelism, BlockSize: blockSize}, floor, nil, nil, nil)
-}
-
-// exactNorm is ExactNormParallel with an optional weight cache: when cache
-// is non-nil (length ds.Len()), each block stores its biased weights
-// f'(x)^a at the block's global offset so the coin pass can reuse them
-// without re-evaluating densities or powers. Blocks write disjoint ranges,
-// so the cache needs no synchronization. Evaluation routes through the
-// layout and precision in opts; rec and progress, when non-nil, observe
-// the scan (see Options.Obs/Progress) and never influence the sum. ctx,
-// when non-nil, cancels per block.
-func exactNorm(ctx context.Context, ds dataset.Dataset, est DensityEstimator, opts Options, floor float64, cache []float64, rec *obs.Recorder, progress func(done, total int)) (float64, error) {
 	if est == nil {
 		return 0, errors.New("core: nil density estimator")
 	}
-	n := ds.Len()
-	blockSize := parallel.BlockSize(opts.BlockSize)
-	partials := make([]float64, parallel.NumBlocks(n, blockSize))
-	err := scanBlocksLayout(ds, dataset.ScanConfig{
-		BlockSize:   blockSize,
-		Parallelism: opts.Parallelism,
-		Ctx:         ctx,
-		Rec:         rec,
-		Progress:    progress,
-	}, opts.Layout, func(block, start int, pts []geom.Point, cols [][]float64) error {
-		var dens []float64
-		var sc *coinScratch
-		if cache != nil {
-			dens = cache[start : start+len(pts)]
-		} else {
-			sc = getCoinScratch(len(pts))
-			defer coinScratchPool.Put(sc)
-			dens = sc.dens
-		}
-		evalDensitiesLayout(est, pts, cols, opts.Precision, dens)
-		var k float64
-		for i, f := range dens {
-			w := biasedWeight(f, opts.Alpha, floor)
-			dens[i] = w
-			k += w
-		}
-		partials[block] = k
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	var k float64
-	for _, p := range partials {
-		k += p
-	}
-	return k, nil
+	return exactNorm(ds, est, Options{Alpha: alpha, Parallelism: parallelism, BlockSize: blockSize}, floor, nil)
 }
 
 // approxNorm estimates k_a from the estimator's own centers. The centers

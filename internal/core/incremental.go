@@ -33,7 +33,6 @@ import (
 	"math"
 
 	"repro/internal/dataset"
-	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/stats"
@@ -95,11 +94,9 @@ type ExtendOptions struct {
 // coins are not re-examined — re-deciding them would need a full pass).
 func ExtendDraw(ds dataset.Dataset, est DensityEstimator, opts ExtendOptions, rng *stats.RNG) (*Sample, NormState, error) {
 	var zero NormState
-	if est == nil {
-		return nil, zero, errors.New("core: nil density estimator")
-	}
-	if opts.TargetSize <= 0 {
-		return nil, zero, errors.New("core: TargetSize must be positive")
+	floor, err := validate(ds, est, opts.Options, true)
+	if err != nil {
+		return nil, zero, err
 	}
 	if opts.OnePass {
 		return nil, zero, errors.New("core: ExtendDraw does not support OnePass")
@@ -123,16 +120,6 @@ func ExtendDraw(ds dataset.Dataset, est DensityEstimator, opts ExtendOptions, rn
 	if !ok {
 		return nil, zero, errors.New("core: ExtendDraw requires an estimator exposing Centers and N")
 	}
-	floor := opts.FloorDensity
-	if floor < 0 {
-		return nil, zero, errors.New("core: negative FloorDensity")
-	}
-	if opts.Precision == Float32 && opts.Layout == LayoutRow {
-		return nil, zero, errors.New("core: Float32 requires the columnar layout")
-	}
-	if floor == 0 {
-		floor = defaultFloor(est)
-	}
 
 	rec := opts.Obs
 	span := rec.StartSpan("extend_draw")
@@ -148,7 +135,7 @@ func ExtendDraw(ds dataset.Dataset, est DensityEstimator, opts ExtendOptions, rn
 	// evaluated once).
 	weightCache := make([]float64, m)
 	nspan := rec.StartSpan("extend_draw/normalize")
-	d, err := exactNorm(opts.Ctx, w, est, opts.Options, floor, weightCache, rec, opts.Progress)
+	d, err := exactNorm(w, est, opts.Options, floor, weightCache)
 	nspan.AddPoints(int64(m))
 	nspan.End()
 	if err != nil {
@@ -167,98 +154,37 @@ func ExtendDraw(ds dataset.Dataset, est DensityEstimator, opts ExtendOptions, rn
 		return nil, zero, errors.New("core: estimator has no centers")
 	}
 	s := (float64(n) / float64(prior.N)) * (float64(prior.Kernels) / float64(ks))
-	if nr, ok := est.(NormRescaler); ok {
-		s = nr.NormRescale(prior.N, prior.Kernels)
-	}
 	kbase := prior.K * biasedScale(s, opts.Alpha)
 	kNew := kbase + d
-	if kNew <= 0 || math.IsInf(kNew, 0) || math.IsNaN(kNew) {
-		return nil, zero, fmt.Errorf("core: degenerate extended normalizer k_a = %v", kNew)
+	if err := checkNorm(kNew); err != nil {
+		return nil, zero, err
 	}
 	r := kbase / kNew
 
-	blockSize := parallel.BlockSize(opts.BlockSize)
-	numBlocks := parallel.NumBlocks(m, blockSize)
-	streams := rng.SplitsValues(1+numBlocks, nil)
+	streams := rng.SplitsValues(1+parallel.NumBlocks(m, parallel.BlockSize(opts.BlockSize)), nil)
 
 	// Thin the prior sample sequentially from its own stream: each kept
 	// point's inclusion probability shrinks by r, so its inverse-
 	// probability weight grows by 1/r.
-	cCoins := rec.Counter(obs.CtrCoinFlips)
 	tspan := rec.StartSpan("extend_draw/thin")
 	thin := &streams[0]
 	kept := make([]dataset.WeightedPoint, 0, len(opts.Prior.Points))
-	var keptIdx []int64
-	if opts.Prior.Indices != nil {
-		keptIdx = make([]int64, 0, len(opts.Prior.Indices))
-	}
-	for i, wp := range opts.Prior.Points {
+	for _, wp := range opts.Prior.Points {
 		if thin.Bernoulli(r) {
 			kept = append(kept, dataset.WeightedPoint{P: wp.P, W: wp.W / r})
-			if keptIdx != nil {
-				keptIdx = append(keptIdx, opts.Prior.Indices[i])
-			}
 		}
 	}
-	cCoins.Add(int64(len(opts.Prior.Points)))
+	rec.Counter(obs.CtrCoinFlips).Add(int64(len(opts.Prior.Points)))
 	tspan.End()
 
-	// Pass 2 over the delta: the usual inclusion coin against k_a'.
-	type blockSample struct {
-		points    []dataset.WeightedPoint
-		indices   []int64
-		saturated int
-	}
-	perBlock := make([]blockSample, numBlocks)
-	arena := &sampleArena{dims: ds.Dims()}
-	b := float64(opts.TargetSize)
-	cSat := rec.Counter(obs.CtrSaturated)
-	sspan := rec.StartSpan("extend_draw/sample")
-	err = dataset.ScanBlocksCfg(w, dataset.ScanConfig{
-		BlockSize:   blockSize,
-		Parallelism: opts.Parallelism,
-		Ctx:         opts.Ctx,
-		Rec:         rec,
-		Progress:    opts.Progress,
-	}, func(block, start int, pts []geom.Point) error {
-		// Same fused pass as Draw: cached biased weights, coin flips into
-		// pooled scratch, arena-carved storage.
-		sc := getCoinScratch(len(pts))
-		defer coinScratchPool.Put(sc)
-		weights := weightCache[start : start+len(pts)]
-		count, sat := flipCoins(weights, b, kNew, &streams[1+block], sc)
-		// Block starts are window-relative; the global dataset index of a
-		// delta selection is DeltaStart + start + in-block offset.
-		wps, idxs := fillBlockSample(arena, pts, sc, count, opts.DeltaStart+start)
-		perBlock[block] = blockSample{points: wps, indices: idxs, saturated: sat}
-		cCoins.Add(int64(len(pts)))
-		cSat.Add(int64(sat))
-		return nil
-	})
-	sspan.AddPoints(int64(m))
-	sspan.End()
+	// Pass 2 over the delta: the usual inclusion coin against k_a', the
+	// delta's selections following the kept prior points.
+	points, sat, err := coinPass(w, est, opts.Options, floor, kNew, weightCache, streams[1:], kept, "extend_draw/sample")
 	if err != nil {
 		return nil, zero, err
 	}
 
-	out := &Sample{Norm: kNew, DataPasses: 2}
-	total := len(kept)
-	for i := range perBlock {
-		total += len(perBlock[i].points)
-	}
-	out.Points = make([]dataset.WeightedPoint, 0, total)
-	out.Points = append(out.Points, kept...)
-	if keptIdx != nil {
-		out.Indices = make([]int64, 0, total)
-		out.Indices = append(out.Indices, keptIdx...)
-	}
-	for i := range perBlock {
-		out.Points = append(out.Points, perBlock[i].points...)
-		if out.Indices != nil {
-			out.Indices = append(out.Indices, perBlock[i].indices...)
-		}
-		out.Saturated += perBlock[i].saturated
-	}
+	out := &Sample{Points: points, Norm: kNew, DataPasses: 2, Saturated: sat}
 	span.AddPoints(int64(m))
 	rec.Counter(obs.CtrIncDraws).Inc()
 	rec.Counter(obs.CtrSampled).Add(int64(len(out.Points) - len(kept)))

@@ -9,24 +9,21 @@
 // workers and gather a sample that is bit-for-bit identical to Draw's —
 // the single-node determinism guarantee, extended one level up.
 //
-// Both entry points deliberately share code with Draw (evalDensities,
-// biasedWeight, flipCoins, fillBlockSample) rather than reimplementing the
-// loops: parity is enforced structurally, not by keeping two copies in
-// sync. With Options.WeightMemo set, NormPartials hands each block's
+// Both entry points run Draw's own block kernel (weighBlock, coinBlock)
+// through the assigned-blocks runner (eachBlock), so parity is enforced
+// structurally, not by keeping two copies of a loop in sync. With
+// Options.WeightMemo set, NormPartials hands each block's
 // weights to DrawBlocks, so a worker serving both phases of a run
 // evaluates each density once, as Draw does.
 package core
 
 import (
 	"errors"
-	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -78,68 +75,13 @@ func putMemoWeights(w []float64) { memoWeightPool.Put(&w) }
 // state either way.
 func DrawStreamBase(rng *stats.RNG) uint64 { return rng.Uint64() }
 
-// validateShardOpts checks the option combinations the sharded path
-// supports. OnePass is meaningless here (its single pass is not blocked
-// against an exact normalizer), and Float32 breaks the row/column parity
-// the cross-mode bit-identity contract rests on.
-func validateShardOpts(opts Options) error {
+// validateShard is validate for the sharded path, which also refuses
+// OnePass: its single pass is not blocked against an exact normalizer.
+func validateShard(ds dataset.Dataset, est DensityEstimator, opts Options, flips bool) (float64, error) {
 	if opts.OnePass {
-		return errors.New("core: sharded draw does not support OnePass")
+		return 0, errors.New("core: sharded draw does not support OnePass")
 	}
-	if opts.Precision == Float32 {
-		return errors.New("core: sharded draw requires Float64 precision")
-	}
-	if opts.FloorDensity < 0 {
-		return errors.New("core: negative FloorDensity")
-	}
-	return nil
-}
-
-// blockPoints returns the row view of points [start, end). Sliceable
-// datasets (every memory-resident or mapped dataset in this repository,
-// including generation-pinned views) hand back a subslice of their stable
-// snapshot; RangeScanner datasets decode the range into fresh storage.
-func blockPoints(ds dataset.Dataset, start, end int) ([]geom.Point, error) {
-	if sl, ok := ds.(dataset.Sliceable); ok {
-		if pts := sl.Points(); len(pts) >= end {
-			return pts[start:end], nil
-		}
-	}
-	rs, ok := ds.(dataset.RangeScanner)
-	if !ok {
-		return nil, fmt.Errorf("core: sharded draw requires a Sliceable or RangeScanner dataset, got %T", ds)
-	}
-	buf := make([]geom.Point, 0, end-start)
-	if err := rs.ScanRange(start, end, func(p geom.Point) error {
-		buf = append(buf, p.Clone())
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if len(buf) != end-start {
-		return nil, fmt.Errorf("core: range scan of [%d,%d) delivered %d points", start, end, len(buf))
-	}
-	return buf, nil
-}
-
-// blockWeights fills out with the biased weights max(f(x), floor)^a of
-// one block's points.
-func blockWeights(est DensityEstimator, pts []geom.Point, alpha, floor float64, out []float64) {
-	evalDensities(est, pts, out)
-	for i, f := range out {
-		out[i] = biasedWeight(f, alpha, floor)
-	}
-}
-
-// checkBlocks validates the assigned global block indices against the
-// dataset's block count.
-func checkBlocks(blocks []int, numBlocks int) error {
-	for _, b := range blocks {
-		if b < 0 || b >= numBlocks {
-			return fmt.Errorf("core: block index %d out of range [0,%d)", b, numBlocks)
-		}
-	}
-	return nil
+	return validate(ds, est, opts, flips)
 }
 
 // NormPartials computes the per-block partial normalizer sums
@@ -152,35 +94,14 @@ func checkBlocks(blocks []int, numBlocks int) error {
 // when opts.FloorDensity is zero the floor defaults from the estimator, so
 // identical estimators yield identical floors on every shard.
 func NormPartials(ds dataset.Dataset, est DensityEstimator, opts Options, blocks []int) ([]float64, error) {
-	if est == nil {
-		return nil, errors.New("core: nil density estimator")
-	}
-	if err := validateShardOpts(opts); err != nil {
+	floor, err := validateShard(ds, est, opts, false)
+	if err != nil {
 		return nil, err
 	}
-	n := ds.Len()
-	if n == 0 {
-		return nil, errors.New("core: empty dataset")
-	}
-	blockSize := parallel.BlockSize(opts.BlockSize)
-	numBlocks := parallel.NumBlocks(n, blockSize)
-	if err := checkBlocks(blocks, numBlocks); err != nil {
-		return nil, err
-	}
-	floor := opts.FloorDensity
-	if floor == 0 {
-		floor = defaultFloor(est)
-	}
-	rec := opts.Obs
-	span := rec.StartSpan("shard/partials")
+	span := opts.Obs.StartSpan("shard/partials")
 	defer span.End()
 	out := make([]float64, len(blocks))
-	err := parallel.DoCtxObs(opts.Ctx, len(blocks), opts.Parallelism, rec, func(j int) error {
-		start, end := parallel.BlockRange(blocks[j], n, blockSize)
-		pts, err := blockPoints(ds, start, end)
-		if err != nil {
-			return err
-		}
+	err = eachBlock(ds, opts, blocks, func(j int, pts []geom.Point) error {
 		var weights []float64
 		if opts.WeightMemo != nil {
 			weights = getMemoWeights(len(pts))
@@ -189,12 +110,7 @@ func NormPartials(ds dataset.Dataset, est DensityEstimator, opts Options, blocks
 			defer coinScratchPool.Put(sc)
 			weights = sc.dens
 		}
-		blockWeights(est, pts, opts.Alpha, floor, weights)
-		var k float64
-		for _, w := range weights {
-			k += w
-		}
-		out[j] = k
+		out[j] = weighBlock(est, pts, opts.Alpha, floor, weights)
 		if opts.WeightMemo != nil {
 			opts.WeightMemo.Put(blocks[j], weights)
 		}
@@ -210,50 +126,23 @@ func NormPartials(ds dataset.Dataset, est DensityEstimator, opts Options, blocks
 // DrawBlocks runs Draw's coin-flip pass over the given global blocks
 // against an externally supplied global normalizer and stream base. Block
 // i's coins come from stats.StreamAt(base, i) — the stream Draw would have
-// assigned it — and the selection loop is Draw's own (flipCoins), so for
+// assigned it — and the selection loop is Draw's own (coinBlock), so for
 // the norm and base a single-node Draw would use, the returned selections
 // are bit-identical to the corresponding slice of that Draw's sample.
 // Results are ordered like blocks; weights are 1/P(included) as in Draw.
 func DrawBlocks(ds dataset.Dataset, est DensityEstimator, opts Options, norm float64, base uint64, blocks []int) ([]BlockSample, error) {
-	if est == nil {
-		return nil, errors.New("core: nil density estimator")
-	}
-	if opts.TargetSize <= 0 {
-		return nil, errors.New("core: TargetSize must be positive")
-	}
-	if err := validateShardOpts(opts); err != nil {
+	floor, err := validateShard(ds, est, opts, true)
+	if err != nil {
 		return nil, err
 	}
-	if norm <= 0 || math.IsInf(norm, 0) || math.IsNaN(norm) {
-		return nil, fmt.Errorf("core: degenerate normalizer k_a = %v", norm)
-	}
-	n := ds.Len()
-	if n == 0 {
-		return nil, errors.New("core: empty dataset")
-	}
-	blockSize := parallel.BlockSize(opts.BlockSize)
-	numBlocks := parallel.NumBlocks(n, blockSize)
-	if err := checkBlocks(blocks, numBlocks); err != nil {
+	if err := checkNorm(norm); err != nil {
 		return nil, err
 	}
-	floor := opts.FloorDensity
-	if floor == 0 {
-		floor = defaultFloor(est)
-	}
-	rec := opts.Obs
-	span := rec.StartSpan("shard/draw")
+	span := opts.Obs.StartSpan("shard/draw")
 	defer span.End()
-	cCoins := rec.Counter(obs.CtrCoinFlips)
-	cSat := rec.Counter(obs.CtrSaturated)
-	arena := &sampleArena{dims: ds.Dims()}
-	b := float64(opts.TargetSize)
+	flip := newCoinFlipper(ds, opts, norm)
 	out := make([]BlockSample, len(blocks))
-	err := parallel.DoCtxObs(opts.Ctx, len(blocks), opts.Parallelism, rec, func(j int) error {
-		start, end := parallel.BlockRange(blocks[j], n, blockSize)
-		pts, err := blockPoints(ds, start, end)
-		if err != nil {
-			return err
-		}
+	err = eachBlock(ds, opts, blocks, func(j int, pts []geom.Point) error {
 		sc := getCoinScratch(len(pts))
 		defer coinScratchPool.Put(sc)
 		var weights []float64
@@ -264,20 +153,11 @@ func DrawBlocks(ds dataset.Dataset, est DensityEstimator, opts Options, norm flo
 			defer putMemoWeights(weights)
 		} else {
 			weights = sc.dens
-			blockWeights(est, pts, opts.Alpha, floor, weights)
+			weighBlock(est, pts, opts.Alpha, floor, weights)
 		}
 		brng := stats.StreamAt(base, blocks[j])
-		count, sat := flipCoins(weights, b, norm, &brng, sc)
-		// Indices are dropped here: they never cross the shard wire, and
-		// the coordinator's merged sample carries Indices == nil.
-		wps, _ := fillBlockSample(arena, pts, sc, count, start)
-		out[j] = BlockSample{
-			Block:     blocks[j],
-			Points:    wps,
-			Saturated: sat,
-		}
-		cCoins.Add(int64(len(pts)))
-		cSat.Add(int64(sat))
+		wps, sat := flip.coinBlock(pts, weights, &brng, sc)
+		out[j] = BlockSample{Block: blocks[j], Points: wps, Saturated: sat}
 		span.AddPoints(int64(len(pts)))
 		return nil
 	})
@@ -288,6 +168,6 @@ func DrawBlocks(ds dataset.Dataset, est DensityEstimator, opts Options, norm flo
 	for i := range out {
 		total += len(out[i].Points)
 	}
-	rec.Counter(obs.CtrSampled).Add(int64(total))
+	opts.Obs.Counter(obs.CtrSampled).Add(int64(total))
 	return out, nil
 }

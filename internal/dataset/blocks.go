@@ -156,7 +156,7 @@ func (b *blockBuf) fit(n, dims int) {
 // The whole call counts as one pass. A block callback returning ErrStopScan
 // stops the scheduling of further blocks and ScanBlocks returns nil; any
 // other error aborts the scan and is returned.
-func ScanBlocks(ds Dataset, blockSize, parallelism int, fn func(block, start int, pts []geom.Point) error) error {
+func ScanBlocks(ds Dataset, blockSize, parallelism int, fn BlockFunc) error {
 	return ScanBlocksCfg(ds, ScanConfig{BlockSize: blockSize, Parallelism: parallelism}, fn)
 }
 
@@ -186,7 +186,7 @@ type ScanConfig struct {
 }
 
 // ScanBlocksCfg is ScanBlocks with observability and progress reporting.
-func ScanBlocksCfg(ds Dataset, cfg ScanConfig, fn func(block, start int, pts []geom.Point) error) error {
+func ScanBlocksCfg(ds Dataset, cfg ScanConfig, fn BlockFunc) error {
 	n := ds.Len()
 	if pc, ok := ds.(PassCounter); ok {
 		pc.AddPass()
@@ -219,36 +219,9 @@ func ScanBlocksCfg(ds Dataset, cfg ScanConfig, fn func(block, start int, pts []g
 		}
 	}
 
-	if sl, ok := ds.(Sliceable); ok {
-		// Blocks are subslices of the resident array: zero copies. The
-		// slice is snapshotted once, so a concurrent append never changes
-		// the blocks this pass delivers. (InMemory and the generation-
-		// pinned views both take this path.)
-		if pts := sl.Points(); len(pts) >= n {
-			return stopToNil(parallel.BlocksCtxObs(cfg.Ctx, n, blockSize, parallelism, cfg.Rec, func(b, start, end int) error {
-				return fn(b, start, pts[start:end])
-			}))
-		}
-	}
-
-	if rs, ok := ds.(RangeScanner); ok {
-		dims := ds.Dims()
+	if read := BlockReader(ds, n); read != nil {
 		return stopToNil(parallel.BlocksCtxObs(cfg.Ctx, n, blockSize, parallelism, cfg.Rec, func(b, start, end int) error {
-			buf := blockBufPool.Get().(*blockBuf)
-			defer blockBufPool.Put(buf)
-			buf.fit(end-start, dims)
-			i := 0
-			if err := rs.ScanRange(start, end, func(p geom.Point) error {
-				copy(buf.pts[i], p)
-				i++
-				return nil
-			}); err != nil {
-				return err
-			}
-			if i != end-start {
-				return fmt.Errorf("dataset: block %d yielded %d of %d points", b, i, end-start)
-			}
-			return fn(b, start, buf.pts)
+			return read(b, start, end, fn)
 		}))
 	}
 
@@ -299,6 +272,52 @@ func ScanBlocksCfg(ds Dataset, cfg ScanConfig, fn func(block, start int, pts []g
 		}
 	}
 	return nil
+}
+
+// BlockFunc receives one block of a scan: its index in the fixed block
+// layout, the dataset index of its first point, and its points. pts (and
+// the points inside it) are valid only during the call; retain with Clone.
+type BlockFunc func(block, start int, pts []geom.Point) error
+
+// BlockReader returns the per-block reader block scans use on datasets
+// with random access to the first n points, or nil when ds has none. The
+// reader hands fn the points [start, end) as block b. Sliceable datasets
+// (every memory-resident or mapped dataset, including window and
+// generation-pinned views) deliver subslices of one snapshot taken here,
+// so an append during the scan never changes what a block sees and
+// nothing is copied. RangeScanner datasets decode the range into a pooled
+// buffer, so a reader allocates nothing per block in steady state. The
+// reader is safe for concurrent use, one block per call.
+func BlockReader(ds Dataset, n int) func(b, start, end int, fn BlockFunc) error {
+	if sl, ok := ds.(Sliceable); ok {
+		if pts := sl.Points(); len(pts) >= n {
+			return func(b, start, end int, fn BlockFunc) error {
+				return fn(b, start, pts[start:end])
+			}
+		}
+	}
+	rs, ok := ds.(RangeScanner)
+	if !ok {
+		return nil
+	}
+	dims := ds.Dims()
+	return func(b, start, end int, fn BlockFunc) error {
+		buf := blockBufPool.Get().(*blockBuf)
+		defer blockBufPool.Put(buf)
+		buf.fit(end-start, dims)
+		i := 0
+		if err := rs.ScanRange(start, end, func(p geom.Point) error {
+			copy(buf.pts[i], p)
+			i++
+			return nil
+		}); err != nil {
+			return err
+		}
+		if i != end-start {
+			return fmt.Errorf("dataset: block %d yielded %d of %d points", b, i, end-start)
+		}
+		return fn(b, start, buf.pts)
+	}
 }
 
 // stopToNil converts a block callback's ErrStopScan into a clean stop, the

@@ -88,7 +88,10 @@ func ReadBinary(r io.Reader) (*InMemory, error) {
 	if count == 0 {
 		return nil, errors.New("dataset: empty binary dataset")
 	}
-	pts := make([]geom.Point, 0, count)
+	// The header's count is untrusted until the rows arrive: preallocate
+	// exactly for up to maxPrealloc points (24 MiB of headers) and let
+	// larger datasets grow, so a corrupt count cannot demand terabytes.
+	pts := make([]geom.Point, 0, min(count, maxPrealloc))
 	row := make([]byte, 8*dims)
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(br, row); err != nil {
@@ -123,6 +126,10 @@ type FileBacked struct {
 	count  int
 	passes atomic.Int64
 }
+
+// maxPrealloc bounds how many points ReadBinary allocates for before
+// the rows that a header promises have arrived.
+const maxPrealloc = 1 << 20
 
 // maxDims bounds the dimensionality a binary header may declare; it
 // rejects corrupt headers before they size any buffer.

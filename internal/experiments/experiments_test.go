@@ -20,7 +20,7 @@ func TestIDsRegistered(t *testing.T) {
 		"fig5a", "fig5b", "fig5c", "fig6", "fig7",
 		"scale", "outliers", "geo", "samplesize",
 		"ablation-kernel", "ablation-onepass", "ablation-alpha", "ablation-weights", "ablation-estimator", "ablation-partitions", "ext-dtree",
-		"stream",
+		"parallel",
 	}
 	ids := IDs()
 	have := map[string]bool{}
@@ -207,27 +207,10 @@ func TestExpScaleRuns(t *testing.T) {
 	}
 }
 
-func TestExpStreamShape(t *testing.T) {
-	tb, err := Run("stream", quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4 (one per method at the quick budget)", len(tb.Rows))
-	}
-	// The streaming estimators must stay competitive: every method finds
-	// most of the 10 planted clusters at a 64 KiB density budget.
-	for i := range tb.Rows {
-		if found := cell(t, tb, i, 3); found < 6 {
-			t.Errorf("%s found %v clusters, want ≥6", tb.Rows[i][0], found)
-		}
-	}
-}
-
 func TestExpRemainingQuickProfiles(t *testing.T) {
 	// Smoke-run every other experiment in quick mode: they must complete
 	// and produce non-empty tables.
-	for _, id := range []string{"fig4b", "fig4c", "fig5b", "fig5c", "fig6", "fig7", "samplesize", "ablation-kernel", "ablation-onepass", "ablation-alpha", "ablation-estimator", "ablation-partitions", "ext-dtree", "columnar"} {
+	for _, id := range []string{"fig4b", "fig4c", "fig5b", "fig5c", "fig6", "fig7", "samplesize", "ablation-kernel", "ablation-onepass", "ablation-alpha", "ablation-estimator", "ablation-partitions", "ext-dtree", "parallel"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			tb, err := Run(id, quickCfg())

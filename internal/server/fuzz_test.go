@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -61,6 +62,40 @@ func FuzzSampleRequest(f *testing.F) {
 		}
 		if got := sc2.req.key(fp, sc2.p); got != key {
 			t.Fatalf("cache key changed across a JSON round trip:\n%s\n%s", key, got)
+		}
+	})
+}
+
+// FuzzParseTenantPolicies drives the -tenants grammar with arbitrary
+// specs. It must never panic, and every accepted policy must be usable by
+// the fair queue as parsed: a finite positive weight (or 0 when unset,
+// which withDefaults turns into 1) and non-negative limits.
+func FuzzParseTenantPolicies(f *testing.F) {
+	for _, seed := range []string{
+		"gold:weight=4,priority=high,inflight=8;bronze:1,priority=low,queue=2;*:weight=2",
+		"gold:4",
+		"gold:weight=NaN",
+		"gold:Inf",
+		"gold:weight=1e309",
+		"a:inflight=-1",
+		"a:queue=3;;b:",
+		":",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		pols, err := ParseTenantPolicies(spec)
+		if err != nil {
+			return
+		}
+		for name, p := range pols {
+			if p.Weight != 0 && !(p.Weight > 0 && !math.IsInf(p.Weight, 0)) {
+				t.Fatalf("%q: tenant %q accepted with weight %v", spec, name, p.Weight)
+			}
+			if p.MaxInFlight < 0 || p.MaxQueue < 0 {
+				t.Fatalf("%q: tenant %q accepted with negative limits %+v", spec, name, p)
+			}
 		}
 	})
 }

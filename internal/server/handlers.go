@@ -858,7 +858,6 @@ func (s *Server) buildSample(ctx context.Context, rec *obs.Recorder, h *Handle, 
 			TargetSize:  q.Size,
 			OnePass:     q.OnePass,
 			Parallelism: s.cfg.Parallelism,
-			Precision:   s.cfg.Precision,
 			Ctx:         sctx,
 			Obs:         rec,
 		}, drawRNG)
@@ -904,7 +903,6 @@ func (s *Server) extendSample(ctx context.Context, rec *obs.Recorder, h *Handle,
 				Alpha:       q.Alpha,
 				TargetSize:  q.Size,
 				Parallelism: s.cfg.Parallelism,
-				Precision:   s.cfg.Precision,
 				Ctx:         sctx,
 				Obs:         rec,
 			},

@@ -89,7 +89,6 @@ func (e *shardExecutor) resolve(ctx context.Context, rec *obs.Recorder, p shard.
 		TargetSize:  p.Size,
 		Parallelism: s.cfg.Parallelism,
 		BlockSize:   p.BlockSize,
-		Precision:   s.cfg.Precision,
 		WeightMemo:  e.memo.bind(p),
 		Obs:         rec,
 		Ctx:         ctx,
@@ -264,9 +263,6 @@ func (s *Server) handleShardDraw(ctx context.Context, w http.ResponseWriter, r *
 // every replica surfaces as a transient error (503 upstream), and a
 // degenerate or short response can never merge silently.
 func (s *Server) buildSampleSharded(ctx context.Context, rec *obs.Recorder, h *Handle, q sampleRequest, p estParams, g uint64) (any, int64, error) {
-	if s.cfg.Precision == core.Float32 {
-		return nil, 0, fmt.Errorf("sharded serving requires float64 precision")
-	}
 	view, err := h.ViewAt(g)
 	if err != nil {
 		return nil, 0, err

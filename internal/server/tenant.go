@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -105,8 +106,8 @@ func ParseTenantPolicies(spec string) (map[string]TenantPolicy, error) {
 			key, val, hasEq := strings.Cut(kv, "=")
 			if !hasEq {
 				// Bare-value shorthand: "gold:4" means weight=4.
-				w, err := strconv.ParseFloat(kv, 64)
-				if err != nil || w <= 0 {
+				w, ok := parseWeight(kv)
+				if !ok {
 					return nil, fmt.Errorf("server: -tenants %s: %q is neither key=value nor a positive weight", name, kv)
 				}
 				pol.Weight = w
@@ -114,9 +115,9 @@ func ParseTenantPolicies(spec string) (map[string]TenantPolicy, error) {
 			}
 			switch key {
 			case "weight":
-				w, err := strconv.ParseFloat(val, 64)
-				if err != nil || w <= 0 {
-					return nil, fmt.Errorf("server: -tenants %s: weight %q must be a positive number", name, val)
+				w, ok := parseWeight(val)
+				if !ok {
+					return nil, fmt.Errorf("server: -tenants %s: weight %q must be a positive finite number", name, val)
 				}
 				pol.Weight = w
 			case "inflight":
@@ -149,6 +150,14 @@ func ParseTenantPolicies(spec string) (map[string]TenantPolicy, error) {
 		out[name] = pol
 	}
 	return out, nil
+}
+
+// parseWeight reads a WFQ weight. NaN and infinite weights are refused:
+// a weight enters the fair queue's finish tag as 1/w, and a NaN tag
+// breaks the queue's ordering.
+func parseWeight(s string) (float64, bool) {
+	w, err := strconv.ParseFloat(s, 64)
+	return w, err == nil && w > 0 && !math.IsInf(w, 0)
 }
 
 // TenantStats is one tenant's admission accounting snapshot, reported

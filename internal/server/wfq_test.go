@@ -348,6 +348,9 @@ func TestParseTenantPolicies(t *testing.T) {
 		"a:bogus=1",
 		"a:1;a:2",
 		"a:inflight=-1",
+		"gold:weight=NaN",
+		"gold:NaN",
+		"gold:weight=Inf",
 	} {
 		if _, err := ParseTenantPolicies(bad); err == nil {
 			t.Errorf("ParseTenantPolicies(%q) accepted invalid spec", bad)

@@ -17,7 +17,7 @@ go test ./...
 # checkout), so the root `go test ./...` skips it: vet and test it here so
 # a library change that breaks the benchmark's build fails the gate.
 (cd perfbench && go vet ./... && go test ./...)
-go test -race ./internal/parallel/... ./internal/core/... ./internal/kde/... ./internal/obs/... ./internal/faults/... ./internal/server/... ./internal/dataset/... ./internal/trace/... ./internal/shard/... ./internal/loadgen/... ./internal/stream/...
+go test -race ./internal/parallel/... ./internal/core/... ./internal/kde/... ./internal/obs/... ./internal/faults/... ./internal/server/... ./internal/dataset/... ./internal/trace/... ./internal/shard/... ./internal/loadgen/...
 # Chaos smoke: the seeded fault-injection suite in short mode (12 seeds) —
 # goroutine leaks, admission slot leaks, cache accounting drift, and any
 # fault-corrupted response fail this line fast; the full 60-seed sweep
@@ -36,10 +36,9 @@ go test -race -run 'Chaos|Shard' -short ./internal/server/
 # Streaming smoke: the sliding-window suite — window-evict determinism
 # (windowed /v1/sample byte-identical to registering the window's rows
 # fresh, workers 1 and 8), window-pinned cache keys across appends, the
-# duration window's fake-clock aging, the CM-sketch exact-remove and
-# bounded-memory invariants, and the mmap window pin lifetime — under
-# the race detector.
-go test -race -run 'Stream|Window' -short ./internal/server/ ./internal/stream/ ./internal/dataset/
+# duration window's fake-clock aging, and the mmap window pin lifetime —
+# under the race detector.
+go test -race -run 'Stream|Window' -short ./internal/server/ ./internal/dataset/
 # Multi-tenant admission smoke: the weighted-fair queue (starvation,
 # weighted share, per-tenant caps, priority preemption), the degrade
 # ladder, the disk artifact tier's restart survival, the Retry-After
@@ -52,6 +51,16 @@ go test -race -run 'WFQ|Tenant|Degraded|DiskTier|RetryAfter|AccessLog|Hit' ./int
 # decode, normalize, and cache key — no panics, and accepted requests
 # key the same after a JSON round trip.
 go test -run '^$' -fuzz FuzzSampleRequest -fuzztime 10s ./internal/server
+# Tenant-policy fuzz: the -tenants grammar — no panics, and every
+# accepted policy has a finite positive weight and non-negative limits.
+go test -run '^$' -fuzz '^FuzzParseTenantPolicies$' -fuzztime 5s ./internal/server
+# Decoder fuzz: CSV, DBS1 (eager and lazily opened) and DBS2 (mapped and
+# decoded) bytes — no panics, accepted CSV/DBS1 data is finite with one
+# dimensionality and round-trips bit for bit, and a lazily opened file's
+# full scan yields exactly Len() points or fails.
+go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 5s ./internal/dataset
+go test -run '^$' -fuzz '^FuzzReadBinary$' -fuzztime 5s ./internal/dataset
+go test -run '^$' -fuzz '^FuzzOpenSegmented$' -fuzztime 5s ./internal/dataset
 # Sustained-load smoke: the three-tenant WFQ/degrade/chaos proof in
 # quick mode. Fails loudly if any tenant sees a non-shed failure (a 5xx
 # surprise or transport error); the committed BENCH_load.json holds the
@@ -63,7 +72,7 @@ OBS_GUARD=1 go test -run TestObsOverheadGuard .
 # timing assertion; see trace_guard_test.go and BENCH_trace.json).
 TRACE_GUARD=1 go test -run TestTraceOverheadGuard .
 # Allocation-regression guard: steady-state Draw must perform zero
-# per-block heap allocations on the columnar path (testing.AllocsPerRun
-# over 512 blocks; see layout_test.go and DESIGN.md, "Memory layout &
-# zero-copy scans").
+# per-block heap allocations (testing.AllocsPerRun over 512 blocks; see
+# internal/core/core_test.go and DESIGN.md, "Memory layout & zero-copy
+# scans").
 go test -run TestDrawSteadyStateAllocs ./internal/core/
