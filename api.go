@@ -187,9 +187,13 @@ type ClusterOptions struct {
 	// NoiseTrim enables CURE-style two-phase outlier elimination sized
 	// for samples that carry background noise.
 	NoiseTrim bool
-	// Parallelism bounds the workers used for the quadratic distance
-	// phases: 0 uses runtime.GOMAXPROCS(0), 1 is the serial reference
-	// path. The clustering is identical for every setting.
+	// Parallelism bounds the workers used for the row-independent
+	// distance phases (the initial nearest-neighbour sweep and the
+	// neighbour repairs after a noise trim; partitioned runs also
+	// pre-cluster their partitions concurrently): 0 uses
+	// runtime.GOMAXPROCS(0), 1 is the serial reference path. The merge
+	// loop itself is serial. The clustering is identical for every
+	// setting.
 	Parallelism int
 	// Ctx, when non-nil, cancels the clustering at merge-step granularity;
 	// a done context aborts with ErrCanceled.

@@ -11,6 +11,17 @@
 // small (biased) sample rather than the full dataset, and what Fig. 2
 // measures.
 //
+// The nearest-neighbour searches are exact but pruned. The initial
+// singleton table sweeps the points in order of their first coordinate and
+// stops a row once that coordinate alone is farther than the row's best.
+// Every cluster keeps the radius of the ball around its mean that holds its
+// representatives, so ‖mean_a − mean_b‖ − rad_a − rad_b bounds the linkage
+// from below, and the merge loop skips every pair the bound rules out
+// before it touches a representative. The clusterings are bit-identical to
+// the unpruned search. Separated clusters prune well; the merge loop still
+// visits every live cluster once per merge, and when clusters overlap (the
+// bound is zero) every pair is evaluated, as before.
+//
 // A light-weight outlier-elimination phase (as in CURE §4.1) is available
 // through TrimAt/TrimMinSize: when the number of live clusters first drops
 // to TrimAt, clusters with fewer than TrimMinSize members are discarded as
@@ -19,10 +30,12 @@
 package cure
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/kdtree"
@@ -61,9 +74,9 @@ type Options struct {
 	FinalTrimAt      int
 	FinalTrimMinSize int
 
-	// Parallelism bounds the workers used for the quadratic distance
-	// phases (initial nearest-neighbour table, post-trim repairs, and
-	// partition pre-clustering in RunPartitioned): 0 uses
+	// Parallelism bounds the workers used for the row-independent
+	// distance phases (the initial nearest-neighbour sweep, post-trim
+	// repairs, and partition pre-clustering in RunPartitioned): 0 uses
 	// runtime.GOMAXPROCS(0), 1 is the serial reference path. Each parallel
 	// unit writes only its own slot, so the clustering is identical for
 	// every setting. The merge sequence itself is inherently serial and
@@ -116,13 +129,108 @@ type Cluster struct {
 // Size returns the number of members.
 func (c *Cluster) Size() int { return len(c.Members) }
 
+// work is one cluster of the merge loop. The mean and the representatives
+// are flat coordinate runs of the input's dimensionality.
 type work struct {
 	members []int32
-	mean    geom.Point
-	reps    []geom.Point
-	nn      int     // index of nearest live cluster
-	nnD     float64 // squared min-rep distance to nn
-	alive   bool
+	mean    []float64
+	reps    []float64 // representatives, one after another
+	rad     float64   // largest mean-to-representative distance (NaN/Inf propagate)
+	nn      int       // index of nearest live cluster
+	nnD     float64   // squared min-rep distance to nn
+}
+
+// newWork is the only constructor of a live cluster: it sets the radius
+// the linkage bound relies on, and an empty nearest-neighbour cache.
+func newWork(members []int32, mean, reps []float64) work {
+	d := len(mean)
+	var rad float64
+	for k := 0; k < len(reps); k += d {
+		// math.Max keeps a NaN, so a cluster with a NaN radius never prunes.
+		rad = math.Max(rad, math.Sqrt(sqDist(mean, reps[k:k+d])))
+	}
+	return work{members: members, mean: mean, reps: reps, rad: rad, nn: -1, nnD: math.Inf(1)}
+}
+
+// settings are Options with defaults resolved and values checked.
+type settings struct {
+	numReps                int
+	shrink                 float64
+	trimMin, finalTrimMin  int
+	trimAt, finalTrimAt, k int
+}
+
+// resolve checks opts and fills in the defaults.
+func resolve(opts Options) (settings, error) {
+	if opts.K <= 0 {
+		return settings{}, errors.New("cure: K must be positive")
+	}
+	s := settings{numReps: opts.NumReps, shrink: opts.Shrink, trimMin: opts.TrimMinSize, finalTrimMin: opts.FinalTrimMinSize,
+		trimAt: opts.TrimAt, finalTrimAt: opts.FinalTrimAt, k: opts.K}
+	if s.numReps == 0 {
+		s.numReps = 10
+	}
+	if s.numReps < 1 {
+		return settings{}, errors.New("cure: NumReps must be positive")
+	}
+	if s.shrink == 0 {
+		s.shrink = 0.3
+	}
+	if s.shrink < 0 || s.shrink > 1 {
+		return settings{}, errors.New("cure: Shrink must be in [0,1]")
+	}
+	if s.trimAt > 0 && s.trimMin == 0 {
+		s.trimMin = 3
+	}
+	if s.finalTrimAt > 0 && s.finalTrimMin == 0 {
+		s.finalTrimMin = 3
+	}
+	return s, nil
+}
+
+// dimsOf returns the common dimensionality of pts.
+func dimsOf(pts []geom.Point) (int, error) {
+	d := len(pts[0])
+	if d == 0 {
+		return 0, errors.New("cure: points have no coordinates")
+	}
+	for _, p := range pts {
+		if len(p) != d {
+			return 0, fmt.Errorf("cure: dimension mismatch %d vs %d", len(p), d)
+		}
+	}
+	return d, nil
+}
+
+// clusterer is the state of one merge loop.
+type clusterer struct {
+	pts   []geom.Point
+	ws    []work
+	means []float64 // cluster i's mean is means[i*d:(i+1)*d]
+	live  []int32   // indices of the live clusters, ascending
+	d     int
+	s     settings
+	par   int
+	rec   *obs.Recorder
+	cDist *obs.Counter
+}
+
+func newClusterer(pts []geom.Point, n, d int, s settings, opts Options) *clusterer {
+	live := make([]int32, n)
+	for i := range live {
+		live[i] = int32(i)
+	}
+	return &clusterer{pts: pts, ws: make([]work, n), means: make([]float64, n*d), live: live, d: d, s: s,
+		par: opts.Parallelism, rec: opts.Obs, cDist: opts.Obs.Counter(obs.CtrCureDistEvals)}
+}
+
+// seed makes cluster i from its members, a copy of mean (into i's slot of
+// the means slab, which merges then update in place) and its flat
+// representatives.
+func (cl *clusterer) seed(i int, members []int32, mean, reps []float64) {
+	slot := cl.means[i*cl.d : (i+1)*cl.d : (i+1)*cl.d]
+	copy(slot, mean)
+	cl.ws[i] = newWork(members, slot, reps)
 }
 
 // Run clusters pts into opts.K clusters. It returns an error for invalid
@@ -132,104 +240,153 @@ func Run(pts []geom.Point, opts Options) ([]Cluster, error) {
 	if len(pts) == 0 {
 		return nil, errors.New("cure: no points")
 	}
-	if opts.K <= 0 {
-		return nil, errors.New("cure: K must be positive")
+	s, err := resolve(opts)
+	if err != nil {
+		return nil, err
 	}
-	numReps := opts.NumReps
-	if numReps == 0 {
-		numReps = 10
-	}
-	if numReps < 1 {
-		return nil, errors.New("cure: NumReps must be positive")
-	}
-	shrink := opts.Shrink
-	if shrink == 0 {
-		shrink = 0.3
-	}
-	if shrink < 0 || shrink > 1 {
-		return nil, errors.New("cure: Shrink must be in [0,1]")
-	}
-	trimMin := opts.TrimMinSize
-	if opts.TrimAt > 0 && trimMin == 0 {
-		trimMin = 3
-	}
-	finalTrimMin := opts.FinalTrimMinSize
-	if opts.FinalTrimAt > 0 && finalTrimMin == 0 {
-		finalTrimMin = 3
+	d, err := dimsOf(pts)
+	if err != nil {
+		return nil, err
 	}
 
 	rec := opts.Obs
 	span := rec.StartSpan("cure")
 	defer span.End()
-	cMerges := rec.Counter(obs.CtrCureMerges)
-	cDist := rec.Counter(obs.CtrCureDistEvals)
-	cTrim := rec.Counter(obs.CtrCureTrimmed)
 
 	n := len(pts)
 	span.AddPoints(int64(n))
-	ws := make([]work, n)
+	cl := newClusterer(pts, n, d, s, opts)
+	members := make([]int32, n)
 	for i, p := range pts {
-		ws[i] = work{
-			members: []int32{int32(i)},
-			mean:    p.Clone(),
-			reps:    []geom.Point{p},
-			alive:   true,
-		}
+		members[i] = int32(i)
+		cl.seed(i, members[i:i+1:i+1], p, p)
 	}
-	alive := n
 
-	// Initial nearest neighbours: O(n²) singleton distances. Each row i
-	// writes only ws[i] and reads the means (fixed before this point), so
-	// the rows parallelize without changing the table. Every ordered pair
-	// is evaluated exactly once, hence the arithmetic n·(n-1) tally.
 	initSpan := rec.StartSpan("cure/init_nn")
-	err := parallel.DoCtxObs(opts.Ctx, n, opts.Parallelism, rec, func(i int) error {
-		ws[i].nn, ws[i].nnD = -1, math.Inf(1)
-		for j := range ws {
-			if i == j {
-				continue
-			}
-			if d := geom.SquaredDistance(ws[i].mean, ws[j].mean); d < ws[i].nnD {
-				ws[i].nn, ws[i].nnD = j, d
-			}
-		}
-		return nil
-	})
-	cDist.Add(int64(n) * int64(n-1))
+	err = cl.initNN(opts.Ctx)
 	initSpan.End()
 	if err != nil {
 		return nil, err
 	}
+	if err := cl.agglomerate(opts.Ctx); err != nil {
+		return nil, err
+	}
+	return cl.clusters(), nil
+}
 
-	trimmed := opts.TrimAt <= 0 // no trim requested ⇒ treat as done
-	finalTrimmed := opts.FinalTrimAt <= 0
-	for alive > opts.K {
-		if opts.Ctx != nil {
-			if cerr := opts.Ctx.Err(); cerr != nil {
-				return nil, fmt.Errorf("%w: %w", parallel.ErrCanceled, cerr)
+// initNN fills the singleton nearest-neighbour table with a sweep over the
+// points ordered by their first coordinate (ties by index). Each row walks
+// outward from its own position, nearer side first, and stops once the
+// first-coordinate gap alone exceeds its best distance: a squared distance
+// is never below its first term, since adding non-negative terms never
+// rounds down. Equal distances resolve to the lowest index, so the table is
+// the one a full scan in index order builds. A first coordinate that is
+// NaN or infinite anywhere leaves the order undefined; the rows then scan
+// every point. Rows write only their own cluster, so row blocks run
+// concurrently; each row counts the distances it evaluated.
+func (cl *clusterer) initNN(ctx context.Context) error {
+	n := len(cl.ws)
+	xs := make([]float64, n) // first coordinates, in sweep order
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sorted := true
+	for _, w := range cl.ws {
+		if x := w.mean[0]; math.IsNaN(x) || math.IsInf(x, 0) {
+			sorted = false
+			break
+		}
+	}
+	if sorted {
+		slices.SortFunc(order, func(a, b int32) int {
+			if c := cmp.Compare(cl.ws[a].mean[0], cl.ws[b].mean[0]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+	}
+	pos := make([]int32, n)
+	for k, i := range order {
+		xs[k] = cl.ws[i].mean[0]
+		pos[i] = int32(k)
+	}
+	const rowsPerTask = 64
+	tasks := (n + rowsPerTask - 1) / rowsPerTask
+	return parallel.DoCtxObs(ctx, tasks, cl.par, cl.rec, func(t int) error {
+		var evals int64
+		for i := t * rowsPerTask; i < n && i < (t+1)*rowsPerTask; i++ {
+			evals += cl.sweepRow(i, int(pos[i]), order, xs, sorted)
+		}
+		cl.cDist.Add(evals)
+		return nil
+	})
+}
+
+// sweepRow finds row i's nearest neighbour from sweep position p and
+// returns the number of distances it evaluated. Without a sorted order it
+// visits every other point.
+func (cl *clusterer) sweepRow(i, p int, order []int32, xs []float64, sorted bool) int64 {
+	ws := cl.ws
+	w := &ws[i]
+	x := xs[p]
+	var evals int64
+	lo, hi := p-1, p+1
+	for lo >= 0 || hi < len(order) {
+		var j int
+		var dx float64
+		if hi >= len(order) || (lo >= 0 && x-xs[lo] <= xs[hi]-x) {
+			j, dx = int(order[lo]), x-xs[lo]
+			lo--
+		} else {
+			j, dx = int(order[hi]), xs[hi]-x
+			hi++
+		}
+		if sorted && dx*dx > w.nnD {
+			break // the other side is no nearer on the sweep axis
+		}
+		evals++
+		if d := sqDist(w.mean, ws[j].mean); d < w.nnD || (d == w.nnD && j < w.nn) {
+			w.nn, w.nnD = j, d
+		}
+	}
+	return evals
+}
+
+// agglomerate merges the closest live pair until s.k clusters remain,
+// running the configured trim phases on the way. Clusters whose nearest
+// neighbour is at +Inf (or that have none) are never merged.
+func (cl *clusterer) agglomerate(ctx context.Context) error {
+	ws, s := cl.ws, cl.s
+	cMerges := cl.rec.Counter(obs.CtrCureMerges)
+	cTrim := cl.rec.Counter(obs.CtrCureTrimmed)
+	// trimPhase runs one elimination and repairs the neighbour caches.
+	trimPhase := func(minSize int) {
+		removed := cl.trim(minSize)
+		cTrim.Add(int64(removed))
+		if removed > 0 {
+			cl.repairNN()
+		}
+	}
+	trimmed := s.trimAt <= 0 // no trim requested ⇒ treat as done
+	finalTrimmed := s.finalTrimAt <= 0
+	for len(cl.live) > s.k {
+		if ctx != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return fmt.Errorf("%w: %w", parallel.ErrCanceled, cerr)
 			}
 		}
-		if !trimmed && alive <= opts.TrimAt {
-			removed := trim(ws, trimMin)
-			alive -= removed
+		if !trimmed && len(cl.live) <= s.trimAt {
+			trimPhase(s.trimMin)
 			trimmed = true
-			cTrim.Add(int64(removed))
-			if removed > 0 {
-				repairNN(ws, opts.Parallelism, rec, cDist)
-			}
-			if alive <= opts.K {
+			if len(cl.live) <= s.k {
 				break
 			}
 		}
-		if trimmed && !finalTrimmed && alive <= opts.FinalTrimAt {
-			removed := trim(ws, finalTrimMin)
-			alive -= removed
+		if trimmed && !finalTrimmed && len(cl.live) <= s.finalTrimAt {
+			trimPhase(s.finalTrimMin)
 			finalTrimmed = true
-			cTrim.Add(int64(removed))
-			if removed > 0 {
-				repairNN(ws, opts.Parallelism, rec, cDist)
-			}
-			if alive <= opts.K {
+			if len(cl.live) <= s.k {
 				break
 			}
 		}
@@ -237,72 +394,87 @@ func Run(pts []geom.Point, opts Options) ([]Cluster, error) {
 		// Closest live pair via cached nearest neighbours.
 		bi := -1
 		bd := math.Inf(1)
-		for i := range ws {
-			if ws[i].alive && ws[i].nnD < bd {
-				bi, bd = i, ws[i].nnD
+		for _, i := range cl.live {
+			if ws[i].nnD < bd {
+				bi, bd = int(i), ws[i].nnD
 			}
 		}
 		if bi < 0 {
 			break // only isolated clusters remain
 		}
-		bj := ws[bi].nn
-		merge(pts, ws, bi, bj, numReps, shrink, cDist)
+		cl.merge(bi, ws[bi].nn)
 		cMerges.Inc()
-		alive--
 	}
+	return nil
+}
 
-	out := make([]Cluster, 0, alive)
-	for i := range ws {
-		if !ws[i].alive {
-			continue
-		}
+// clusters returns the live clusters in index order.
+func (cl *clusterer) clusters() []Cluster {
+	out := make([]Cluster, 0, len(cl.live))
+	d := cl.d
+	for _, i := range cl.live {
+		w := &cl.ws[i]
 		c := Cluster{
-			Members: make([]int, len(ws[i].members)),
-			Reps:    ws[i].reps,
-			Mean:    ws[i].mean,
+			Members: make([]int, len(w.members)),
+			Reps:    make([]geom.Point, len(w.reps)/d),
+			Mean:    w.mean,
 		}
-		for k, m := range ws[i].members {
+		for k, m := range w.members {
 			c.Members[k] = int(m)
+		}
+		for k := range c.Reps {
+			c.Reps[k] = w.reps[k*d : (k+1)*d : (k+1)*d]
 		}
 		out = append(out, c)
 	}
-	return out, nil
+	return out
 }
 
 // merge folds cluster j into cluster i, rebuilds i's summary, and restores
-// the nearest-neighbour invariants. cDist (nil-safe) tallies the pairwise
-// representative distance evaluations; the tally is accumulated locally
-// and flushed once per merge.
-func merge(pts []geom.Point, ws []work, i, j int, numReps int, shrink float64, cDist *obs.Counter) {
+// the nearest-neighbour invariants. The distance counter tallies the
+// representative pairs evaluated, flushed once per merge.
+func (cl *clusterer) merge(i, j int) {
+	ws := cl.ws
 	a, b := &ws[i], &ws[j]
 	na, nb := float64(len(a.members)), float64(len(b.members))
-	mean := make(geom.Point, len(a.mean))
+	mean := a.mean // i's slot of the means slab
 	for k := range mean {
-		mean[k] = (a.mean[k]*na + b.mean[k]*nb) / (na + nb)
+		mean[k] = (mean[k]*na + b.mean[k]*nb) / (na + nb)
 	}
-	a.members = append(a.members, b.members...)
-	a.mean = mean
-	a.reps = selectReps(pts, a.members, mean, numReps, shrink)
-	b.alive = false
+	members := append(a.members, b.members...)
+	*a = newWork(members, mean, selectReps(cl.pts, members, mean, cl.s.numReps, cl.s.shrink))
 	b.members = nil
 	b.reps = nil
+	k, _ := slices.BinarySearch(cl.live, int32(j))
+	cl.live = slices.Delete(cl.live, k, k+1)
 
 	// One scan restores all invariants: recompute i's NN, opportunistically
 	// improve others' NN with their distance to the merged cluster, and
-	// fully recompute any cluster whose NN pointed at i or j.
-	a.nn, a.nnD = -1, math.Inf(1)
+	// fully recompute any cluster whose NN pointed at i or j. A cluster
+	// whose linkage bound exceeds both i's running best and its own cached
+	// distance would change neither, so it is skipped; if it pointed at i
+	// or j its true distance exceeds its cache, which makes it stale. The
+	// skip is strict: at an equal distance the merged cluster stays its
+	// neighbour.
 	var stale []int
 	var evals int64
-	for c := range ws {
-		if c == i || !ws[c].alive {
+	for _, c32 := range cl.live {
+		c := int(c32)
+		if c == i {
 			continue
 		}
-		evals += int64(len(a.reps) * len(ws[c].reps))
-		d := clusterDist(a.reps, ws[c].reps)
+		w := &ws[c]
+		if lb := linkBound(a, w); lb > a.nnD && lb > w.nnD {
+			if w.nn == i || w.nn == j {
+				stale = append(stale, c)
+			}
+			continue
+		}
+		evals += cl.pairs(a, w)
+		d := clusterDist(a.reps, w.reps, cl.d)
 		if d < a.nnD {
 			a.nn, a.nnD = c, d
 		}
-		w := &ws[c]
 		if w.nn == i || w.nn == j {
 			if d <= w.nnD {
 				// The merged cluster is at least as close as the old
@@ -315,73 +487,115 @@ func merge(pts []geom.Point, ws []work, i, j int, numReps int, shrink float64, c
 			w.nn, w.nnD = i, d
 		}
 	}
-	cDist.Add(evals)
+	cl.cDist.Add(evals)
 	for _, c := range stale {
-		recomputeNN(ws, c, cDist)
+		cl.recomputeNN(c)
 	}
 }
 
-// recomputeNN rebuilds the cached nearest neighbour of cluster c exactly.
-// cDist is the nil-safe distance-evaluation counter; the row's tally is
-// flushed with one atomic add (safe under repairNN's concurrent rows).
-func recomputeNN(ws []work, c int, cDist *obs.Counter) {
+// recomputeNN rebuilds the cached nearest neighbour of cluster c exactly,
+// skipping every candidate whose linkage bound exceeds the best distance
+// found so far. The row's tally is flushed with one atomic add (safe under
+// repairNN's concurrent rows).
+func (cl *clusterer) recomputeNN(c int) {
+	ws := cl.ws
 	w := &ws[c]
 	w.nn, w.nnD = -1, math.Inf(1)
 	var evals int64
-	for o := range ws {
-		if o == c || !ws[o].alive {
+	for _, o32 := range cl.live {
+		o := int(o32)
+		if o == c || linkBound(w, &ws[o]) > w.nnD {
 			continue
 		}
-		evals += int64(len(w.reps) * len(ws[o].reps))
-		if d := clusterDist(w.reps, ws[o].reps); d < w.nnD {
+		evals += cl.pairs(w, &ws[o])
+		if d := clusterDist(w.reps, ws[o].reps, cl.d); d < w.nnD {
 			w.nn, w.nnD = o, d
 		}
 	}
-	cDist.Add(evals)
+	cl.cDist.Add(evals)
 }
 
 // repairNN recomputes every cached neighbour after a trim pass removed
 // clusters. Each recomputation writes only its own cluster's cache and
 // reads state that is frozen during the repair, so the rows parallelize.
-func repairNN(ws []work, parallelism int, rec *obs.Recorder, cDist *obs.Counter) {
-	parallel.DoObs(len(ws), parallelism, rec, func(c int) error {
-		if ws[c].alive {
-			recomputeNN(ws, c, cDist)
-		}
+func (cl *clusterer) repairNN() {
+	parallel.DoObs(len(cl.live), cl.par, cl.rec, func(k int) error {
+		cl.recomputeNN(int(cl.live[k]))
 		return nil
 	})
 }
 
 // trim kills live clusters with fewer than minSize members and returns how
 // many were removed, never removing all clusters.
-func trim(ws []work, minSize int) int {
-	removed, kept := 0, 0
-	for i := range ws {
-		if ws[i].alive && len(ws[i].members) >= minSize {
-			kept++
+func (cl *clusterer) trim(minSize int) int {
+	kept := cl.live[:0:0]
+	for _, i := range cl.live {
+		if len(cl.ws[i].members) >= minSize {
+			kept = append(kept, i)
 		}
 	}
-	if kept == 0 {
+	if len(kept) == 0 {
 		return 0
 	}
-	for i := range ws {
-		if ws[i].alive && len(ws[i].members) < minSize {
-			ws[i].alive = false
-			ws[i].members = nil
-			ws[i].reps = nil
-			removed++
+	removed := len(cl.live) - len(kept)
+	for _, i := range cl.live {
+		if w := &cl.ws[i]; len(w.members) < minSize {
+			w.members = nil
+			w.reps = nil
 		}
 	}
+	cl.live = kept
 	return removed
 }
 
-// clusterDist is the squared min distance over representative pairs.
-func clusterDist(a, b []geom.Point) float64 {
+// pairs is the number of representative pairs clusterDist evaluates.
+func (cl *clusterer) pairs(a, b *work) int64 {
+	return int64(len(a.reps)/cl.d) * int64(len(b.reps)/cl.d)
+}
+
+// minPrunable is the smallest squared bound linkBound reports. Below it
+// subnormal rounding could exceed the bound's relative margin.
+const minPrunable = 1e-280
+
+// linkBound returns a lower bound on clusterDist(a.reps, b.reps): every
+// representative lies within rad of its cluster's mean, so no pair is
+// closer than ‖mean_a − mean_b‖ − rad_a − rad_b. The bound is shrunk by a
+// relative 1e-9 of the terms, far above their rounding error, so it never
+// exceeds the computed distance. It fails closed: a NaN, infinite or
+// non-positive bound, or one in the subnormal range, returns 0, which
+// prunes nothing.
+func linkBound(a, b *work) float64 {
+	dm := math.Sqrt(sqDist(a.mean, b.mean))
+	r := a.rad + b.rad
+	lb := dm - r - 1e-9*(dm+r)
+	lb2 := lb * lb
+	if !(lb > 0 && lb2 >= minPrunable && lb2 <= math.MaxFloat64) {
+		return 0
+	}
+	return lb2
+}
+
+// sqDist is the squared Euclidean distance of two coordinate runs of equal
+// length, accumulated in coordinate order like geom.SquaredDistance.
+func sqDist(p, q []float64) float64 {
+	q = q[:len(p)]
+	var s float64
+	for i := range p {
+		d := p[i] - q[i]
+		s += d * d
+	}
+	return s
+}
+
+// clusterDist is the squared min distance over representative pairs of
+// two flat representative runs of dimensionality d.
+func clusterDist(a, b []float64, d int) float64 {
 	best := math.Inf(1)
-	for _, p := range a {
-		for _, q := range b {
-			if d := geom.SquaredDistance(p, q); d < best {
-				best = d
+	for i := 0; i < len(a); i += d {
+		p := a[i : i+d]
+		for j := 0; j < len(b); j += d {
+			if s := sqDist(p, b[j:j+d]); s < best {
+				best = s
 			}
 		}
 	}
@@ -389,14 +603,14 @@ func clusterDist(a, b []geom.Point) float64 {
 }
 
 // selectReps picks up to numReps well-scattered members (farthest-point
-// traversal seeded from the point farthest from the mean) and shrinks them
-// toward the mean by the shrink factor.
-func selectReps(pts []geom.Point, members []int32, mean geom.Point, numReps int, shrink float64) []geom.Point {
+// traversal seeded from the point farthest from the mean), shrinks them
+// toward the mean by the shrink factor, and returns them as one flat run.
+func selectReps(pts []geom.Point, members []int32, mean []float64, numReps int, shrink float64) []float64 {
 	m := len(members)
 	if m <= numReps {
-		reps := make([]geom.Point, m)
-		for k, idx := range members {
-			reps[k] = pts[idx].Lerp(mean, shrink)
+		reps := make([]float64, 0, m*len(mean))
+		for _, idx := range members {
+			reps = appendLerp(reps, pts[idx], mean, shrink)
 		}
 		return reps
 	}
@@ -405,13 +619,13 @@ func selectReps(pts []geom.Point, members []int32, mean geom.Point, numReps int,
 	// Seed: farthest member from the mean.
 	far, farD := 0, -1.0
 	for k, idx := range members {
-		if d := geom.SquaredDistance(pts[idx], mean); d > farD {
+		if d := sqDist(pts[idx], mean); d > farD {
 			far, farD = k, d
 		}
 	}
 	chosen = append(chosen, members[far])
 	for k, idx := range members {
-		minD[k] = geom.SquaredDistance(pts[idx], pts[chosen[0]])
+		minD[k] = sqDist(pts[idx], pts[chosen[0]])
 	}
 	for len(chosen) < numReps {
 		far, farD = -1, -1.0
@@ -423,16 +637,24 @@ func selectReps(pts []geom.Point, members []int32, mean geom.Point, numReps int,
 		next := members[far]
 		chosen = append(chosen, next)
 		for k, idx := range members {
-			if d := geom.SquaredDistance(pts[idx], pts[next]); d < minD[k] {
+			if d := sqDist(pts[idx], pts[next]); d < minD[k] {
 				minD[k] = d
 			}
 		}
 	}
-	reps := make([]geom.Point, len(chosen))
-	for k, idx := range chosen {
-		reps[k] = pts[idx].Lerp(mean, shrink)
+	reps := make([]float64, 0, len(chosen)*len(mean))
+	for _, idx := range chosen {
+		reps = appendLerp(reps, pts[idx], mean, shrink)
 	}
 	return reps
+}
+
+// appendLerp appends p moved toward q by t, computed like geom.Point.Lerp.
+func appendLerp(dst, p, q []float64, t float64) []float64 {
+	for i := range p {
+		dst = append(dst, p[i]+t*(q[i]-p[i]))
+	}
+	return dst
 }
 
 // Assign labels every point in pts with the index of the cluster owning

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"repro/internal/geom"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -102,86 +101,32 @@ func RunPartitioned(pts []geom.Point, opts Options, partitions, reduction int) (
 }
 
 // mergePartials runs the agglomerative merge loop over pre-built clusters
-// (same linkage and representative maintenance as Run, seeded with
-// multi-point clusters instead of singletons).
+// (same linkage, representative maintenance and merge loop as Run, seeded
+// with multi-point clusters instead of singletons). Only the final trim
+// applies: the first one already ran inside each partition.
 func mergePartials(pts []geom.Point, seeds []Cluster, opts Options) ([]Cluster, error) {
-	numReps := opts.NumReps
-	if numReps == 0 {
-		numReps = 10
+	s, err := resolve(opts)
+	if err != nil {
+		return nil, err
 	}
-	shrink := opts.Shrink
-	if shrink == 0 {
-		shrink = 0.3
-	}
-	ws := make([]work, len(seeds))
-	for i, s := range seeds {
-		members := make([]int32, len(s.Members))
-		for j, m := range s.Members {
+	s.trimAt = 0
+	span := opts.Obs.StartSpan("cure/merge_partials")
+	defer span.End()
+	cl := newClusterer(pts, len(seeds), len(pts[0]), s, opts)
+	for i, sd := range seeds {
+		members := make([]int32, len(sd.Members))
+		for j, m := range sd.Members {
 			members[j] = int32(m)
 		}
-		ws[i] = work{
-			members: members,
-			mean:    s.Mean.Clone(),
-			reps:    s.Reps,
-			alive:   true,
+		var reps []float64
+		for _, r := range sd.Reps {
+			reps = append(reps, r...)
 		}
+		cl.seed(i, members, sd.Mean, reps)
 	}
-	rec := opts.Obs
-	span := rec.StartSpan("cure/merge_partials")
-	defer span.End()
-	cMerges := rec.Counter(obs.CtrCureMerges)
-	cDist := rec.Counter(obs.CtrCureDistEvals)
-	cTrim := rec.Counter(obs.CtrCureTrimmed)
-	alive := len(ws)
-	parallel.DoObs(len(ws), opts.Parallelism, rec, func(i int) error {
-		recomputeNN(ws, i, cDist)
-		return nil
-	})
-	finalTrimmed := opts.FinalTrimAt <= 0
-	finalMin := opts.FinalTrimMinSize
-	if !finalTrimmed && finalMin == 0 {
-		finalMin = 3
+	cl.repairNN()
+	if err := cl.agglomerate(opts.Ctx); err != nil {
+		return nil, err
 	}
-	for alive > opts.K {
-		if !finalTrimmed && alive <= opts.FinalTrimAt {
-			removed := trim(ws, finalMin)
-			alive -= removed
-			finalTrimmed = true
-			cTrim.Add(int64(removed))
-			if removed > 0 {
-				repairNN(ws, opts.Parallelism, rec, cDist)
-			}
-			if alive <= opts.K {
-				break
-			}
-		}
-		bi, bd := -1, -1.0
-		for i := range ws {
-			if ws[i].alive && (bi < 0 || ws[i].nnD < bd) {
-				bi, bd = i, ws[i].nnD
-			}
-		}
-		if bi < 0 || ws[bi].nn < 0 {
-			break
-		}
-		merge(pts, ws, bi, ws[bi].nn, numReps, shrink, cDist)
-		cMerges.Inc()
-		alive--
-	}
-	var out []Cluster
-	for i := range ws {
-		if !ws[i].alive {
-			continue
-		}
-		c := Cluster{
-			Members: make([]int, len(ws[i].members)),
-			Reps:    ws[i].reps,
-			Mean:    ws[i].mean,
-		}
-		for k, m := range ws[i].members {
-			c.Members[k] = int(m)
-		}
-		out = append(out, c)
-	}
-	return out, nil
+	return cl.clusters(), nil
 }

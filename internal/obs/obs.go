@@ -45,7 +45,7 @@ const (
 	CtrPoolTasks      = "pool_tasks_total"            // tasks (blocks/rows) scheduled
 	CtrPoolWorkers    = "pool_workers_total"          // worker goroutines spawned
 	CtrCureMerges     = "cure_merges_total"           // cluster merges performed
-	CtrCureDistEvals  = "cure_dist_evals_total"       // pairwise distance evals (means + rep pairs)
+	CtrCureDistEvals  = "cure_dist_evals_total"       // distances evaluated: init sweep pairs + unpruned rep pairs
 	CtrCureTrimmed    = "cure_clusters_trimmed_total" // clusters dropped by noise trims
 	CtrOutlierCands   = "outlier_candidates_total"    // candidates kept for exact verification
 	CtrOutlierPruned  = "outlier_points_pruned_total" // points the density estimate ruled out

@@ -2,9 +2,10 @@
 # Tier-1 verification gate (see README.md, "Testing"). Everything here must
 # pass before a change lands: formatting, static checks, a full build, the
 # complete test suite, the race detector over the packages that run
-# concurrent code (the parallel execution layer, its two biggest consumers,
-# and the observability layer's shared Recorder, plus the serving layer's
-# registry/cache/admission), and the observability
+# concurrent code (the parallel execution layer, its consumers in the
+# sampler, the estimator and the clusterer, the observability layer's
+# shared Recorder, plus the serving layer's registry/cache/admission), and
+# the observability
 # overhead guard (OBS_GUARD gates the timing assertion; see
 # obs_guard_test.go and BENCH_obs.json for the budget).
 set -eux
@@ -17,7 +18,7 @@ go test ./...
 # checkout), so the root `go test ./...` skips it: vet and test it here so
 # a library change that breaks the benchmark's build fails the gate.
 (cd perfbench && go vet ./... && go test ./...)
-go test -race ./internal/parallel/... ./internal/core/... ./internal/kde/... ./internal/obs/... ./internal/faults/... ./internal/server/... ./internal/dataset/... ./internal/trace/... ./internal/shard/... ./internal/loadgen/...
+go test -race ./internal/parallel/... ./internal/core/... ./internal/kde/... ./internal/obs/... ./internal/faults/... ./internal/server/... ./internal/dataset/... ./internal/trace/... ./internal/shard/... ./internal/loadgen/... ./internal/cure/...
 # Chaos smoke: the seeded fault-injection suite in short mode (12 seeds) —
 # goroutine leaks, admission slot leaks, cache accounting drift, and any
 # fault-corrupted response fail this line fast; the full 60-seed sweep
@@ -61,6 +62,11 @@ go test -run '^$' -fuzz '^FuzzParseTenantPolicies$' -fuzztime 5s ./internal/serv
 go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 5s ./internal/dataset
 go test -run '^$' -fuzz '^FuzzReadBinary$' -fuzztime 5s ./internal/dataset
 go test -run '^$' -fuzz '^FuzzOpenSegmented$' -fuzztime 5s ./internal/dataset
+# Clusterer equivalence fuzz: the pruned nearest-neighbour searches must
+# reproduce the brute-force reference clustering bit for bit on decoded
+# point sets (1-4 dims, up to 64 points, many ties, overflowing
+# coordinates).
+go test -run '^$' -fuzz '^FuzzRunMatchesReference$' -fuzztime 5s ./internal/cure
 # Sustained-load smoke: the three-tenant WFQ/degrade/chaos proof in
 # quick mode. Fails loudly if any tenant sees a non-shed failure (a 5xx
 # surprise or transport error); the committed BENCH_load.json holds the
